@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import oracle as oracle_mod
+from .combinatorics import SPECIAL_R3_ORDERS
 from .polyeval import eval_fast
 from .tensor import (
     CirculantSpec,
@@ -48,8 +49,6 @@ from .tensor import (
 REL_TOL_DEFAULT = 1e-12
 #: Witness values must clear -1e-9 times the generating vector scale.
 WITNESS_REL_MARGIN = 1e-9
-
-SPECIAL_R3_ORDERS = (6, 12, 18, 30, 42)
 
 
 class Status(enum.Enum):

@@ -7,6 +7,17 @@ nonnegative, so a negative evaluation is a hard refutation while a
 nonnegative estimate is merely evidence (the search is non-convex and never
 proves positivity; proofs come from certificates).
 
+The search works on float64 arrays with one row per point.  Each row's
+coefficient profile comes from repeated convolution with its point, n
+shifted adds per convolution; the gradient is ``m * d @ H`` (``d`` the
+order-(m-1) profile, ``H[u, i] = v[u + i]``) and the value
+``x . grad / m``, which equals ``profile . v``.  Every reduction
+stays within a row (``np.einsum``, never BLAS), so a row's numbers are
+bitwise the same whatever rows share its array.  The candidates are
+evaluated together, then all descents advance in lockstep, each row with
+its own step size, line search and stopping rules.  The reported
+``min_value`` is the scalar ``polyeval.eval_fast`` at ``argmin``.
+
 ``matrix_psd`` decides matrix positive semidefiniteness with a hand-rolled
 cyclic Jacobi eigenvalue iteration, deliberately independent of any library
 eigensolver so that library and oracle cannot share a bug.
@@ -26,14 +37,15 @@ Unit-vector starts draw each coordinate uniformly from [-1, 1) (output /
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import GeneratingVector, candidate_witnesses
-from .polyeval import eval_fast, value_and_gradient
+# value_and_gradient is not called here; bench/spans.py traces it under this name.
+from .polyeval import eval_fast, value_and_gradient  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -54,6 +66,9 @@ COARSE_TOL = 1e-9
 COARSE_WINDOW = 30
 #: Upper bound on the adaptive step size (the line search halves from here).
 ETA_MAX = 1e12
+#: Rows evaluated as one array; bounds the (rows, n, width) convolution
+#: temporaries.  Rows never interact, so the blocking does not change results.
+BLOCK_ROWS = 128
 
 
 class SplitMix64:
@@ -99,46 +114,100 @@ class SphereMinResult:
         }
 
 
-def _normalize(x) -> tuple | None:
-    norm = math.sqrt(sum(t * t for t in x))
-    if norm == 0.0 or not math.isfinite(norm):
-        return None
-    return tuple(t / norm for t in x)
+def _convolve_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise convolution of ``(B, w)`` with ``(B, n)``: n shifted adds.
+
+    Product j, ``x[:, j] * a``, is zero-padded to one more than the output
+    length, so reading the products at the output length shifts product j
+    by j; the sum over j adds them in order, as a loop of slice-adds would.
+    """
+    rows, width = a.shape
+    n = x.shape[1]
+    length = width + n - 1
+    padded = np.zeros((rows, n, length + 1))
+    np.multiply(x[:, :, None], a[:, None, :], out=padded[:, :, :width])
+    return padded.reshape(rows, -1)[:, : n * length].reshape(rows, n, length).sum(axis=1)
 
 
-def _descend(gen: GeneratingVector, x0: tuple):
-    """Projected gradient descent from x0; returns (f, x, converged)."""
-    x = x0
-    f, grad = value_and_gradient(gen, x)
-    eta = ETA0
-    checkpoint = f
+def _profiles(x: np.ndarray, k: int) -> np.ndarray:
+    """Order-k coefficient profile of every row of x (``conv_power`` per row)."""
+    out = x
+    for _ in range(k - 1):
+        out = _convolve_rows(out, x)
+    return out
+
+
+def _values_and_gradients(x: np.ndarray, hankel: np.ndarray, m: int):
+    """f and its gradient for every row of x; ``hankel[u, i] = v[u + i]``.
+
+    With ``d`` the order-(m-1) profile, ``grad = m * d @ H`` and, by Euler's
+    identity for a degree-m form, ``f = x . grad / m``.
+    """
+    g = np.einsum("bu,ui->bi", _profiles(x, m - 1), hankel)
+    return np.einsum("bi,bi->b", x, g), m * g
+
+
+def _candidates(n: int) -> np.ndarray:
+    """Unit rows: every witness-family member, then (n <= 6) every nonzero
+    sign pattern in {0, 1, -1}^n in ``itertools.product`` order."""
+    points = np.array([w.x for w in candidate_witnesses(n)], dtype=float)
+    if n <= 6:
+        codes = np.arange(1, 3**n)  # code 0 is the zero pattern
+        digits = codes[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+        points = np.concatenate([points, np.array([0.0, 1.0, -1.0])[digits]])
+    return points / np.sqrt(np.einsum("bi,bi->b", points, points))[:, None]
+
+
+def _descend_rows(hankel: np.ndarray, m: int, x: np.ndarray):
+    """Projected gradient descent from every row of x, in lockstep.
+
+    Returns per-row ``(f, x, converged)`` arrays.  A row stops when no step
+    decreases f at line-search resolution, when one step decreases f by less
+    than PLATEAU_TOL, or when a COARSE_WINDOW of steps decreases it by less
+    than COARSE_TOL per step; a row still moving after MAX_ITERATIONS is not
+    converged.
+    """
+    f_out = np.empty(len(x))
+    x_out = np.empty_like(x)
+    converged = np.ones(len(x), dtype=bool)
+    live = np.arange(len(x))
+    f, grad = _values_and_gradients(x, hankel, m)
+    eta = np.full(len(x), ETA0)
+    checkpoint = f.copy()
     for iteration in range(1, MAX_ITERATIONS + 1):
-        # Carry the last successful step size forward and let it grow; on
-        # degenerate minima the useful step size diverges, and resetting to
+        # Carry each row's last successful step size forward and let it grow;
+        # on degenerate minima the useful step size diverges, and resetting to
         # ETA0 every iteration would trap the descent in a power-law tail.
-        trial = min(eta * 2.0, ETA_MAX)
-        step = None
+        trial = np.minimum(eta * 2.0, ETA_MAX)
+        fy, y, gy = f.copy(), x.copy(), grad.copy()
+        pending = np.arange(len(live))
         for _ in range(MAX_HALVINGS + 1):
-            y = _normalize([xi - trial * gi for xi, gi in zip(x, grad)])
-            if y is not None:
-                fy = eval_fast(gen, y)
-                if fy < f:
-                    step = (fy, y, trial)
-                    break
-            trial *= 0.5
-        if step is None:
-            return f, x, True  # no decreasing step exists at line-search resolution
-        fy, y, eta = step
-        decrease = f - fy
-        x = y
-        if decrease < PLATEAU_TOL * (1.0 + abs(fy)):
-            return fy, x, True
+            yp = x[pending] - trial[pending, None] * grad[pending]
+            norm = np.sqrt(np.einsum("bi,bi->b", yp, yp))
+            yp /= norm[:, None]
+            fp, gp = _values_and_gradients(yp, hankel, m)
+            hit = (norm != 0.0) & np.isfinite(norm) & (fp < f[pending])
+            rows = pending[hit]
+            fy[rows], y[rows], gy[rows], eta[rows] = fp[hit], yp[hit], gp[hit], trial[rows]
+            pending = pending[~hit]
+            if not pending.size:
+                break
+            trial[pending] *= 0.5
+        # Stop where f fell by less than PLATEAU_TOL.  A row that found no
+        # decreasing step kept fy = f and stops here too; the negated >= also
+        # stops rows whose value is NaN.
+        stop = ~(f - fy >= PLATEAU_TOL * (1.0 + np.abs(fy)))
         if iteration % COARSE_WINDOW == 0:
-            if checkpoint - fy < COARSE_WINDOW * COARSE_TOL * (1.0 + abs(fy)):
-                return fy, x, True
+            stop |= checkpoint - fy < COARSE_WINDOW * COARSE_TOL * (1.0 + np.abs(fy))
             checkpoint = fy
-        f, grad = value_and_gradient(gen, x)
-    return f, x, False
+        f_out[live[stop]], x_out[live[stop]] = fy[stop], y[stop]
+        go = ~stop
+        live, x, f, grad = live[go], y[go], fy[go], gy[go]
+        eta, checkpoint = eta[go], checkpoint[go]
+        if not live.size:
+            break
+    f_out[live], x_out[live], converged[live] = f, x, False
+    return f_out, x_out, converged
 
 
 def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> SphereMinResult:
@@ -154,40 +223,29 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
         raise ValueError(f"sphere search needs even order, got m={gen.m}")
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    n = gen.n
-
-    best_f = math.inf
-    best_x = None
-    for witness in candidate_witnesses(n):
-        x = _normalize(witness.x)
-        if x is None:
-            continue
-        f = eval_fast(gen, x)
-        if f < best_f:
-            best_f, best_x = f, x
-    if n <= 6:
-        for pattern in itertools.product((0.0, 1.0, -1.0), repeat=n):
-            x = _normalize(pattern)
-            if x is None:
-                continue
-            f = eval_fast(gen, x)
-            if f < best_f:
-                best_f, best_x = f, x
-
+    n, m = gen.n, gen.m
     rng = SplitMix64(rng_seed)
-    converged = 0
-    for _ in range(starts):
-        x0 = rng.unit_vector(n)
-        f, x, ok = _descend(gen, x0)
-        converged += ok
-        if f < best_f:
-            best_f, best_x = f, x
+    starts_x = np.array([rng.unit_vector(n) for _ in range(starts)])
+    candidates = _candidates(n)
+    v = np.array(gen.v, dtype=float)
+    hankel = sliding_window_view(v, n)
 
+    def blocks(a):
+        return np.split(a, range(BLOCK_ROWS, len(a), BLOCK_ROWS))
+
+    with np.errstate(all="ignore"):
+        candidate_f = [_values_and_gradients(c, hankel, m)[0] for c in blocks(candidates)]
+        runs = [_descend_rows(hankel, m, x0) for x0 in blocks(starts_x)]
+    values = np.concatenate(candidate_f + [f for f, _, _ in runs])
+    points = np.concatenate([candidates] + [x for _, x, _ in runs])
+    values[np.isnan(values)] = math.inf  # as with `<`, NaN never becomes the best
+    best = int(np.argmin(values))  # earliest of equal minima
+    argmin = tuple(points[best].tolist()) if values[best] < math.inf else None
     return SphereMinResult(
-        min_value=best_f,
-        argmin=best_x,
+        min_value=math.inf if argmin is None else eval_fast(gen, argmin),
+        argmin=argmin,
         starts=starts,
-        converged_starts=converged,
+        converged_starts=sum(int(ok.sum()) for _, _, ok in runs),
         rng_seed=rng_seed,
     )
 
@@ -231,11 +289,13 @@ def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 100):
             )
         for p in range(size - 1):
             for q in range(p + 1, size):
-                apq = a[p, q]
+                apq = float(a[p, q])
                 if apq == 0.0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
+                tau = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
+                if abs(tau) > 1e150:
+                    t = 0.5 / tau  # tau * tau would overflow; the asymptote is exact here
+                elif tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))

@@ -20,6 +20,7 @@ arithmetic survives downstream when the inputs are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,13 @@ NAMED_PATTERNS: tuple[tuple[int, ...], ...] = (
 )
 
 WITNESS_FAMILIES = ("unit-difference", "step-2-difference", "alpha", "alpha-neg")
+
+
+def _require_finite(values, what: str) -> None:
+    # ints and Fractions are always finite; only floats can carry NaN or inf
+    for t in values:
+        if isinstance(t, float) and not math.isfinite(t):
+            raise ValueError(f"{what} entries must be finite, got {t!r}")
 
 
 def genvec_length(m: int, n: int) -> int:
@@ -69,6 +77,7 @@ class GeneratingVector:
             raise ValueError(
                 f"generating vector needs (n-1)*m+1 = {want} entries, got {len(self.v)}"
             )
+        _require_finite(self.v, "generating vector")
 
     def max_abs(self) -> float:
         return max(abs(float(t)) for t in self.v)
@@ -106,6 +115,7 @@ class CirculantSpec:
             )
         if len(self.seed) != self.r:
             raise ValueError(f"seed needs exactly r={self.r} entries, got {len(self.seed)}")
+        _require_finite(self.seed, "seed")
 
 
 def expand(spec: CirculantSpec) -> GeneratingVector:

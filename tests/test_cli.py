@@ -127,6 +127,23 @@ class TestClassifyCommand:
         assert "odd order" in capsys.readouterr().err
 
 
+class TestNonFiniteInput:
+    # JSON has no NaN, but Python's json module reads the NaN and Infinity tokens
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"m": 4, "n": 4, "r": 2, "seed": [NaN, 1]}',
+            '{"m": 8, "n": 4, "r": 4, "seed": [NaN, 1, 1, 1]}',
+            '{"m": 4, "n": 4, "r": 2, "seed": [Infinity, 1]}',
+            '{"m": 2, "n": 2, "genvec": [1, -Infinity, 1]}',
+        ],
+    )
+    def test_is_an_input_error(self, tmp_path, capsys, payload):
+        doc = write_doc(tmp_path, "bad.json", payload)
+        assert main(["classify", doc]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestDocumentErrors:
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/never.json"]) == 2

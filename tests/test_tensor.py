@@ -49,6 +49,14 @@ class TestGeneratingVector:
         gen = GeneratingVector(2, 2, (1, -4, 2))
         assert gen.max_abs() == 4.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GeneratingVector(2, 2, (1.0, bad, 1.0))
+
+    def test_huge_exact_entries_are_finite(self):
+        GeneratingVector(2, 2, (10**400, Fraction(10**400, 3), 1))
+
 
 class TestCirculantSpec:
     def test_expand_constant(self):
@@ -76,6 +84,11 @@ class TestCirculantSpec:
     def test_rejects_seed_length_mismatch(self):
         with pytest.raises(ValueError, match="seed"):
             CirculantSpec(4, 3, 2, (1,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_seed(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CirculantSpec(4, 4, 2, (bad, 1))
 
     @given(
         m=st.integers(2, 8),
