@@ -16,11 +16,12 @@ regimes, each with a finite seed-level criterion:
                           PSD iff v0 = v2, v1 = v3, |v1| <= v0.
 
 Anything else is ``Uncovered``: no claim is made, and a clearly non-certified
-numerical minimum estimate is attached as evidence.  PSD verdicts carry a
-two-term power-sum certificate (f as a convex combination of (sum x)^m and
-the alternating-sign analogue) plus a strong-Hankel certificate (the
-associated Hankel matrix is PSD).  NotPSD verdicts carry an explicitly
-evaluated negative witness vector.
+numerical minimum estimate is attached as evidence.  NotPSD verdicts carry an
+explicitly evaluated negative witness vector.  A covered PSD tensor is
+f = alpha*(x1+...+xn)^m + beta*(x1-x2+x3-...)^m with alpha, beta >= 0, i.e.
+v[s] = alpha + beta*(-1)^s; its verdict carries that power-sum certificate
+and the strong-Hankel one it implies (the associated Hankel matrix is then
+alpha*11^T + beta*aa^T), both checked by ``strong_hankel_check`` in O(L).
 
 Only even orders are classifiable: for odd m the zero tensor is the only
 positive semidefinite Hankel tensor, so odd orders are rejected.
@@ -33,10 +34,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import oracle as oracle_mod
 from .combinatorics import SPECIAL_R3_ORDERS
 from .polyeval import eval_fast
-from .tensor import (
+# hankel_matrix is not called here; bench/spans.py traces it under this name.
+from .tensor import (  # noqa: F401
     CirculantSpec,
     GeneratingVector,
     WitnessVector,
@@ -49,6 +53,9 @@ from .tensor import (
 REL_TOL_DEFAULT = 1e-12
 #: Witness values must clear -1e-9 times the generating vector scale.
 WITNESS_REL_MARGIN = 1e-9
+#: Rounding allowance of the certificate check, in ulps of max|v|: the
+#: certificate's t is a float even for exact input.
+CERTIFICATE_ULPS = 8
 
 
 class Status(enum.Enum):
@@ -78,9 +85,12 @@ class Certificate:
 
     PowerSum: f(x) = t*v0*(x1+...+xn)^m + (1-t)*v0*(x1-x2+x3-...)^m with
     t in [0, 1]; both base forms are even powers, so nonnegativity is
-    immediate and the identity itself is checkable by evaluation.
-    StrongHankel: the associated Hankel matrix has eigenvalue floor above
-    -1e-9 times its largest entry magnitude.
+    immediate.  The identity holds exactly when v[s] = v0*(t + (1-t)*(-1)^s)
+    for every s, which ``strong_hankel_check`` verifies.
+    StrongHankel: the associated Hankel matrix is the Gram form
+    v0*t*11^T + v0*(1-t)*aa^T, a = (1, -1, 1, ...), by the same check;
+    ``matrix_eigen_floor`` is that form's smallest eigenvalue in closed form,
+    less the Weyl bound on the check's residual.
     """
 
     kind: CertificateKind
@@ -106,12 +116,13 @@ class NecessaryCheck:
 
 @dataclass(frozen=True)
 class StrongHankelResult:
+    """``residual`` is max_s |v[s] - (alpha + beta*(-1)^s)|; ``slack`` bounds it."""
+
     passed: bool
     min_eigenvalue: float
     size: int
-    structure: str | None
-    structure_ok: bool | None
-    sweeps: int
+    residual: float
+    slack: float
 
 
 @dataclass(frozen=True)
@@ -141,17 +152,13 @@ class Verdict:
         }
 
 
-def _is_exact(values) -> bool:
-    return all(isinstance(t, (int, Fraction)) for t in values)
-
-
 def _scale(values) -> float:
     return max(abs(float(t)) for t in values)
 
 
 def _effective_tol(values, rel_tol: float):
     """Absolute comparison slack: zero in exact mode, relative otherwise."""
-    if _is_exact(values):
+    if all(isinstance(t, (int, Fraction)) for t in values):
         return 0
     return rel_tol * _scale(values)
 
@@ -241,15 +248,14 @@ def power_sum_certificate(gen: GeneratingVector, tol) -> Certificate:
         return Certificate(kind=CertificateKind.POWER_SUM, v0=0.0, t=1.0)
     if v0 - abs(v1) < -tol:
         raise ValueError(f"power-sum certificate needs |v1| <= v0, got v0={v0}, v1={v1}")
-    t = 0.5 * (v1 / v0 + 1.0)
-    t = min(1.0, max(0.0, t))
+    t = min(1.0, max(0.0, 0.5 * (v1 / v0 + 1.0)))
     return Certificate(kind=CertificateKind.POWER_SUM, v0=v0, t=t)
 
 
 def power_sum_value(cert: Certificate, m: int, x):
-    """Evaluate the certificate's closed form at x."""
-    plain = sum(x)
-    alternating = sum(t if i % 2 == 0 else -t for i, t in enumerate(x))
+    """Evaluate the certificate's closed form at x, or at every row of x, in float64."""
+    x = np.asarray(x, dtype=float)
+    plain, alternating = x.sum(axis=-1), x @ (-1.0) ** np.arange(x.shape[-1])
     return cert.t * cert.v0 * plain ** m + (1.0 - cert.t) * cert.v0 * alternating ** m
 
 
@@ -260,69 +266,63 @@ def verify_power_sum(
     rng_seed: int = 0,
     rel_tol: float = 1e-9,
 ):
-    """Compare the closed form against eval_fast at RNG points in [-1, 1]^n.
+    """Compare the closed form against f at RNG points in [-1, 1]^n, in float64.
 
-    Returns (passed, max relative error); the error is |a - b| over
-    max(1, |a|, |b|).
+    A sampled diagnostic; ``strong_hankel_check`` is the proof.  Returns
+    (passed, max relative error); the error is |a - b| over max(1, |a|, |b|).
     """
     rng = oracle_mod.SplitMix64(rng_seed)
-    worst = 0.0
-    for _ in range(points):
-        x = tuple(rng.uniform_signed() for _ in range(gen.n))
-        direct = float(eval_fast(gen, x))
-        closed = float(power_sum_value(cert, gen.m, x))
-        err = abs(direct - closed) / max(1.0, abs(direct), abs(closed))
-        worst = max(worst, err)
+    x = np.array([rng.uniform_signed() for _ in range(points * gen.n)]).reshape(points, gen.n)
+    with np.errstate(all="ignore"):
+        direct, closed = oracle_mod.eval_rows(gen, x), power_sum_value(cert, gen.m, x)
+        err = np.abs(direct - closed) / np.maximum(1.0, np.maximum(np.abs(direct), np.abs(closed)))
+    worst = float(err.max(initial=0.0))
     return worst <= rel_tol, worst
 
 
-def strong_hankel_check(gen: GeneratingVector, rel_tol: float = REL_TOL_DEFAULT) -> StrongHankelResult:
-    """Associated-matrix PSD test plus structural identities where they apply.
+def _gram_floor(alpha: float, beta: float, size: int) -> float:
+    """Smallest eigenvalue of alpha*11^T + beta*aa^T, a = (1, -1, ...), N = size >= 2.
 
-    A constant generating vector must produce exactly v0 times the all-ones
-    matrix (rank one); a two-value alternating vector must produce the rank
-    <= 2 combination v0*(t*ones + (1-t)*alternating outer product).  The
-    structural check reports entrywise agreement within the same relative
-    tolerance used for seed comparisons.
+    On span{1, a} the form acts as [[alpha*N, alpha*s], [beta*s, beta*N]] with
+    s = 1^T a = N mod 2 (for N = 2 the eigenvalues 2*alpha, 2*beta); for N >= 3
+    the other N - 2 eigenvalues are zero.  alpha and beta are scaled by
+    max(|alpha|, |beta|) so that nothing overflows.
     """
-    hm = hankel_matrix(gen)
-    result = oracle_mod.matrix_psd(hm.a)
-    vf = [float(t) for t in gen.v]
-    tol = _effective_tol(gen.v, rel_tol)
-    structure = None
-    structure_ok = None
-    if _all_equal(vf, tol):
-        structure = "rank-1"
-        v0 = vf[0]
-        structure_ok = all(
-            abs(hm.a[i, j] - v0) <= tol
-            for i in range(hm.size)
-            for j in range(hm.size)
-        )
-    elif _all_equal(vf[0::2], tol) and _all_equal(vf[1::2], tol):
-        structure = "rank-2"
-        v0, v1 = vf[0], vf[1]
-        structure_ok = all(
-            abs(hm.a[i, j] - (v0 if (i + j) % 2 == 0 else v1)) <= tol
-            for i in range(hm.size)
-            for j in range(hm.size)
-        )
+    scale, s = max(abs(alpha), abs(beta)) or 1.0, size % 2
+    a, b = alpha / scale, beta / scale
+    trace, det = size * (a + b), a * b * (size * size - s)
+    root = math.sqrt(max(0.0, (size * (a - b)) ** 2 + 4.0 * a * b * s))
+    # for trace > 0 the smaller root is det over the larger: no cancellation
+    low = 2.0 * det / (trace + root) if trace > 0.0 else 0.5 * (trace - root)
+    return scale * (low if size == 2 else min(0.0, low))
+
+
+def strong_hankel_check(
+    gen: GeneratingVector, cert: Certificate, rel_tol: float = REL_TOL_DEFAULT
+) -> StrongHankelResult:
+    """Check the power-sum certificate (v0, t) as an identity on ``v``.
+
+    With alpha = v0*t and beta = v0*(1-t), pass iff alpha, beta >= -slack and
+    every v[s] is within slack of alpha + beta*(-1)^s.  As A[i, j] = v[i + j],
+    that is the entrywise Gram identity A = alpha*11^T + beta*aa^T,
+    a = (1, -1, ...), of the N x N associated Hankel matrix (Qi, CMS 2015).
+    ``min_eigenvalue`` is that form's floor less the Weyl term N*residual.
+    slack is CERTIFICATE_ULPS ulps of max|v| plus twice the seed-comparison
+    slack: the even-gcd-2 and quartic-index-4 criteria chain two comparisons
+    (odd seed with v1, |v1| with v0), so an accepted seed can miss by both.
+    """
+    alpha, beta = cert.v0 * cert.t, cert.v0 * (1.0 - cert.t)
+    even, odd = alpha + beta, alpha - beta
+    residual = max(max(abs(float(t) - even) for t in gen.v[0::2]),
+                   max(abs(float(t) - odd) for t in gen.v[1::2]))
+    slack = 2 * _effective_tol(gen.v, rel_tol) + CERTIFICATE_ULPS * math.ulp(1.0) * _scale(gen.v)
+    size = (len(gen.v) + 1) // 2
     return StrongHankelResult(
-        passed=result.passed,
-        min_eigenvalue=result.min_eigenvalue,
-        size=hm.size,
-        structure=structure,
-        structure_ok=structure_ok,
-        sweeps=result.sweeps,
-    )
-
-
-def _strong_hankel_certificate(gen: GeneratingVector) -> Certificate:
-    check = strong_hankel_check(gen)
-    return Certificate(
-        kind=CertificateKind.STRONG_HANKEL,
-        v0=float(gen.v[0]),
-        matrix_eigen_floor=check.min_eigenvalue,
+        passed=alpha >= -slack and beta >= -slack and residual <= slack,
+        min_eigenvalue=_gram_floor(alpha, beta, size) - size * residual,
+        size=size,
+        residual=residual,
+        slack=slack,
     )
 
 
@@ -410,13 +410,20 @@ def _find_witness(case, spec, gen, tol, evidence_starts, rng_seed):
 
 def _psd_verdict(case, gen, tol, rel_tol, notes) -> Verdict:
     cert = power_sum_certificate(gen, tol)
-    strong = _strong_hankel_certificate(gen)
+    check = strong_hankel_check(gen, cert, rel_tol)
+    if not check.passed:
+        raise RuntimeError(
+            f"power-sum certificate v0={cert.v0!r} t={cert.t!r} fails its identity "
+            f"check: residual {check.residual:.3e}, slack {check.slack:.3e}"
+        )
     return Verdict(
         status=Status.PSD,
         case=case,
         tolerance=rel_tol,
         certificate=cert,
-        strong_hankel=strong,
+        strong_hankel=Certificate(
+            CertificateKind.STRONG_HANKEL, v0=cert.v0, matrix_eigen_floor=check.min_eigenvalue
+        ),
         notes=notes,
     )
 

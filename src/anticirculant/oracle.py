@@ -147,6 +147,16 @@ def _values_and_gradients(x: np.ndarray, hankel: np.ndarray, m: int):
     return np.einsum("bi,bi->b", x, g), m * g
 
 
+def _blocks(a: np.ndarray) -> list:
+    return np.split(a, range(BLOCK_ROWS, len(a), BLOCK_ROWS))
+
+
+def eval_rows(gen: GeneratingVector, x: np.ndarray) -> np.ndarray:
+    """f at every row of the float array ``x`` (``points x n``)."""
+    hankel = sliding_window_view(np.array(gen.v, dtype=float), gen.n)
+    return np.concatenate([_values_and_gradients(b, hankel, gen.m)[0] for b in _blocks(x)])
+
+
 def _candidates(n: int) -> np.ndarray:
     """Unit rows: every witness-family member, then (n <= 6) every nonzero
     sign pattern in {0, 1, -1}^n in ``itertools.product`` order."""
@@ -227,16 +237,11 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
     rng = SplitMix64(rng_seed)
     starts_x = np.array([rng.unit_vector(n) for _ in range(starts)])
     candidates = _candidates(n)
-    v = np.array(gen.v, dtype=float)
-    hankel = sliding_window_view(v, n)
-
-    def blocks(a):
-        return np.split(a, range(BLOCK_ROWS, len(a), BLOCK_ROWS))
-
+    hankel = sliding_window_view(np.array(gen.v, dtype=float), n)
     with np.errstate(all="ignore"):
-        candidate_f = [_values_and_gradients(c, hankel, m)[0] for c in blocks(candidates)]
-        runs = [_descend_rows(hankel, m, x0) for x0 in blocks(starts_x)]
-    values = np.concatenate(candidate_f + [f for f, _, _ in runs])
+        candidate_f = eval_rows(gen, candidates)
+        runs = [_descend_rows(hankel, m, x0) for x0 in _blocks(starts_x)]
+    values = np.concatenate([candidate_f] + [f for f, _, _ in runs])
     points = np.concatenate([candidates] + [x for _, x, _ in runs])
     values[np.isnan(values)] = math.inf  # as with `<`, NaN never becomes the best
     best = int(np.argmin(values))  # earliest of equal minima

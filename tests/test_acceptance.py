@@ -311,12 +311,18 @@ def test_criterion_5_strong_hankel_matrices(capsys):
         ]
         assert psd_records, "battery produced no PSD verdicts"
         eigen_floor = 0.0
+        worst_closed_form = 0.0
         rank_one_exact = 0
         for rec in psd_records:
             matrix = hankel_matrix(rec["gen"])
             result = matrix_psd(matrix.a)
             assert result.passed
             eigen_floor = min(eigen_floor, result.min_eigenvalue)
+            closed_form = rec["verdict"].strong_hankel.matrix_eigen_floor
+            scale = rec["gen"].max_abs()
+            gap = abs(closed_form - result.min_eigenvalue)
+            assert gap <= 1e-9 * scale
+            worst_closed_form = max(worst_closed_form, gap / scale if scale else 0.0)
             if rec["spec"].r == 1:
                 v0 = float(rec["spec"].seed[0])
                 assert (matrix.a == v0).all()
@@ -324,6 +330,7 @@ def test_criterion_5_strong_hankel_matrices(capsys):
         assert rank_one_exact > 0
         info["detail"] = (
             f"{len(psd_records)} matrices pass, eigen floor {eigen_floor:.3e}; "
+            f"closed-form floors within {worst_closed_form:.1e} * max|v| <= 1e-9; "
             f"{rank_one_exact} r=1 matrices equal v0 x all-ones exactly"
         )
 

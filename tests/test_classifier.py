@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anticirculant import classifier as classifier_mod
+from anticirculant import oracle as oracle_mod
 from anticirculant.classifier import (
     Case,
+    Certificate,
     CertificateKind,
     Status,
     WITNESS_REL_MARGIN,
@@ -21,9 +24,9 @@ from anticirculant.classifier import (
     strong_hankel_check,
     verify_power_sum,
 )
-from anticirculant.oracle import sphere_min
+from anticirculant.oracle import SplitMix64, matrix_psd, sphere_min
 from anticirculant.polyeval import eval_fast
-from anticirculant.tensor import CirculantSpec, GeneratingVector, expand
+from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 
 class TestNecessaryConditions:
@@ -164,6 +167,25 @@ class TestPsdVerdicts:
         with pytest.raises(ValueError, match="needs"):
             power_sum_certificate(expand(CirculantSpec(4, 4, 2, (1, 1.2))), 0.0)
 
+    @pytest.mark.parametrize("spec", [
+        CirculantSpec(4, 4, 2, (1, 0.5)),
+        CirculantSpec(6, 5, 4, (3, Fraction(1, 2), 3, Fraction(1, 2))),
+    ])
+    def test_sampled_check_matches_point_loop(self, spec):
+        # a wrong t makes the error depend on every point, so equal worst
+        # errors mean the same points in the same order
+        gen = expand(spec)
+        cert = Certificate(CertificateKind.POWER_SUM, v0=float(gen.v[0]), t=0.6)
+        rng = SplitMix64(3)
+        worst = 0.0
+        for _ in range(50):
+            x = tuple(rng.uniform_signed() for _ in range(gen.n))
+            direct, closed = float(eval_fast(gen, x)), power_sum_value(cert, gen.m, x)
+            worst = max(worst, abs(direct - closed) / max(1.0, abs(direct), abs(closed)))
+        passed, batched = verify_power_sum(gen, cert, points=50, rng_seed=3)
+        assert not passed
+        assert batched == pytest.approx(worst, rel=1e-12)
+
     @given(lam=st.floats(0.01, 100.0))
     @settings(deadline=None, max_examples=25)
     def test_scaling_invariance(self, lam):
@@ -227,25 +249,33 @@ class TestNotPsdVerdicts:
         assert verdict.status == Status.NOT_PSD
 
 
+def _check(spec, rel_tol=1e-12):
+    gen = expand(spec)
+    return strong_hankel_check(gen, power_sum_certificate(gen, 0.0), rel_tol)
+
+
 class TestStrongHankel:
     def test_all_ones_spectrum(self):
-        result = strong_hankel_check(expand(CirculantSpec(4, 3, 1, (1,))))
+        result = _check(CirculantSpec(4, 3, 1, (1,)))
         assert result.passed
         assert result.size == 5
-        assert result.structure == "rank-1"
-        assert result.structure_ok
-        assert result.min_eigenvalue == pytest.approx(0.0, abs=1e-10)
+        assert result.residual == 0.0
+        assert result.min_eigenvalue == 0.0
 
     def test_alternating_rank_two(self):
-        result = strong_hankel_check(expand(CirculantSpec(4, 4, 2, (1, -1))))
+        result = _check(CirculantSpec(4, 4, 2, (1, -1)))
         assert result.passed
-        assert result.structure == "rank-2"
-        assert result.structure_ok
+        assert result.residual == 0.0
+        assert result.min_eigenvalue == 0.0
 
     def test_indefinite_matrix_fails(self):
-        result = strong_hankel_check(expand(CirculantSpec(4, 4, 2, (1, 1.2))))
+        # v1 = v0 * (2t - 1) = 1.2 needs t = 1.1, so beta = v0 * (1 - t) < 0
+        gen = expand(CirculantSpec(4, 4, 2, (1, 1.2)))
+        result = strong_hankel_check(gen, Certificate(CertificateKind.POWER_SUM, v0=1.0, t=1.1))
         assert not result.passed
         assert result.min_eigenvalue < -0.1
+        jacobi = matrix_psd(hankel_matrix(gen).a).min_eigenvalue
+        assert result.min_eigenvalue == pytest.approx(jacobi, abs=1e-9)
 
     def test_psd_implies_strong_for_covered_cases(self):
         for spec in (
@@ -257,7 +287,92 @@ class TestStrongHankel:
         ):
             verdict = classify(spec)
             assert verdict.status == Status.PSD
-            assert strong_hankel_check(expand(spec)).passed
+            assert strong_hankel_check(expand(spec), verdict.certificate, verdict.tolerance).passed
+
+    @pytest.mark.parametrize("spec", [
+        CirculantSpec(4, 4, 2, (1, 0.5)),
+        CirculantSpec(6, 5, 4, (3, Fraction(1, 3), 3, Fraction(1, 3))),
+        CirculantSpec(30, 5, 2, (1.0, -0.3)),
+    ])
+    def test_nudged_t_fails(self, spec):
+        verdict = classify(spec)
+        cert = verdict.certificate
+        nudged = Certificate(cert.kind, v0=cert.v0, t=cert.t + 1e-6)
+        assert strong_hankel_check(expand(spec), cert, verdict.tolerance).passed
+        assert not strong_hankel_check(expand(spec), nudged, verdict.tolerance).passed
+
+    def test_slack_is_the_verdict_tolerance(self):
+        # the odd seeds sit 0.4 from v1, inside a relative tolerance of 0.5
+        spec = CirculantSpec(4, 3, 3, (1.0, 1.4, 1.0))
+        verdict = classify(spec, rel_tol=0.5)
+        assert verdict.status == Status.PSD
+        assert strong_hankel_check(expand(spec), verdict.certificate, 0.5).passed
+        assert not strong_hankel_check(expand(spec), verdict.certificate).passed
+
+    def test_floor_matches_eigenvalues(self):
+        for spec in (
+            CirculantSpec(2, 2, 2, (1.0, 0.5)),  # size 2: eigenvalues 2*alpha, 2*beta
+            CirculantSpec(2, 3, 2, (1.0, 0.5)),
+            CirculantSpec(4, 4, 2, (1.0, -0.3)),
+            CirculantSpec(6, 5, 4, (2.5, 1.0, 2.5, 1.0)),
+        ):
+            gen = expand(spec)
+            floor = _check(spec).min_eigenvalue
+            assert floor == pytest.approx(matrix_psd(hankel_matrix(gen).a).min_eigenvalue, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (1.1, -0.1), (-0.1, 1.1), (-0.5, -0.25), (0.3, -1e-13), (-1e-13, 0.7), (0.0, -2.0),
+    ])
+    def test_floor_with_a_negative_coefficient(self, alpha, beta):
+        # the floor is exact for the Gram form, and a lower bound on A's own
+        for m, n in ((2, 2), (2, 3), (4, 2), (2, 5), (4, 4), (6, 5)):
+            gen = expand(CirculantSpec(m, n, 2, (alpha + beta, alpha - beta)))
+            cert = Certificate(CertificateKind.POWER_SUM, v0=alpha + beta, t=alpha / (alpha + beta))
+            result = strong_hankel_check(gen, cert)
+            jacobi = matrix_psd(hankel_matrix(gen).a).min_eigenvalue
+            assert result.min_eigenvalue <= jacobi + 1e-12
+            assert result.min_eigenvalue == pytest.approx(jacobi, abs=1e-9)
+
+    @pytest.mark.parametrize("spec", [
+        CirculantSpec(6, 5, 4, (1.0, -1.09, 1.0, -1.18)),  # even-gcd-2
+        CirculantSpec(4, 4, 4, (1.0, -1.09, 1.0, -1.18)),  # quartic-index-4
+        CirculantSpec(6, 5, 4, (1.0, -1.0 - 0.9e-12, 1.0, -1.0 - 1.8e-12)),
+    ])
+    def test_chained_seed_comparisons_pass_the_check(self, spec):
+        # -1.18 is within tol of v1 and |v1| within tol of v0, so the seed
+        # criterion accepts it although it sits nearly 2*tol from t = 0's -v0
+        rel_tol = 0.1 if spec.seed[1] == -1.09 else 1e-12
+        verdict = classify(spec, rel_tol=rel_tol)
+        assert verdict.status == Status.PSD
+        assert verdict.certificate.t == 0.0
+        check = strong_hankel_check(expand(spec), verdict.certificate, rel_tol)
+        assert check.passed
+        assert check.residual > 1.5 * rel_tol * 1.18
+        jacobi = matrix_psd(hankel_matrix(expand(spec)).a).min_eigenvalue
+        assert verdict.strong_hankel.matrix_eigen_floor <= jacobi
+
+    def test_wrong_certificate_raises_in_classify(self, monkeypatch):
+        def wrong_t(gen, tol):
+            return Certificate(CertificateKind.POWER_SUM, v0=float(gen.v[0]), t=0.5)
+
+        monkeypatch.setattr(classifier_mod, "power_sum_certificate", wrong_t)
+        with pytest.raises(RuntimeError, match="fails its identity check"):
+            classify(CirculantSpec(4, 4, 2, (1, 0.5)))
+
+    def test_classify_runs_no_eigensolver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("PSD verdicts need no eigensolver")
+
+        monkeypatch.setattr(oracle_mod, "matrix_psd", forbidden)
+        monkeypatch.setattr(oracle_mod, "jacobi_eigenvalues", forbidden)
+        for spec in (
+            CirculantSpec(4, 3, 1, (2,)),
+            CirculantSpec(30, 5, 2, (1.0, -0.3)),
+            CirculantSpec(12, 8, 3, (2, 2, 2)),
+            CirculantSpec(6, 5, 4, (3, 1, 3, 1)),
+            CirculantSpec(4, 4, 4, (1, 0.25, 1, 0.25)),
+        ):
+            assert classify(spec).status == Status.PSD
 
 
 class TestUncoveredAndNotes:

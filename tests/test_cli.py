@@ -99,6 +99,36 @@ class TestClassifyCommand:
         assert main(["classify", notpsd_doc, "--verify"]) == 1
         assert "status reproduced" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("payload", [
+        {"m": 30, "n": 5, "r": 2, "seed": [1.0, -0.3]},
+        {"m": 12, "n": 8, "r": 3, "seed": [2, 2, 2]},
+    ])
+    def test_verify_at_high_order(self, tmp_path, capsys, payload):
+        # point sampling cannot resolve these identities in float64
+        doc = write_doc(tmp_path, "high.json", payload)
+        assert main(["classify", doc, "--verify"]) == 0
+        assert "status reproduced" in capsys.readouterr().out
+
+    def test_verify_near_float_max(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, "big.json", {"m": 4, "n": 4, "r": 2, "seed": [1e308, -1e308]})
+        assert main(["classify", doc, "--verify", "--json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["verified"] is True
+        assert payload["strong_hankel"]["matrix_eigen_floor"] == 0.0
+        assert captured.err == ""
+
+    def test_no_eigensolver_on_verdict_paths(self, psd_doc, capsys, monkeypatch):
+        from anticirculant import classifier, oracle
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no eigensolver on this path")
+
+        monkeypatch.setattr(oracle, "matrix_psd", forbidden)
+        monkeypatch.setattr(classifier, "hankel_matrix", forbidden)
+        assert main(["classify", psd_doc, "--verify"]) == 0
+        assert main(["certify", psd_doc]) == 0
+
     def test_genvec_document(self, genvec_doc, capsys):
         code = main(["classify", genvec_doc])
         out = capsys.readouterr().out
@@ -112,6 +142,18 @@ class TestClassifyCommand:
         assert main(["classify", doc]) == 1
         capsys.readouterr()
         assert main(["classify", doc, "--tolerance", "0.5"]) == 0
+        assert main(["classify", doc, "--tolerance", "0.5", "--verify"]) == 0
+
+    @pytest.mark.parametrize("payload", [
+        {"m": 6, "n": 5, "r": 4, "seed": [1, -1.09, 1, -1.18]},
+        {"m": 4, "n": 4, "r": 4, "seed": [1, -1.09, 1, -1.18]},
+    ])
+    def test_moderate_tolerance_in_chained_cases(self, tmp_path, capsys, payload):
+        # the odd seeds miss the certificate by nearly twice the tolerance
+        doc = write_doc(tmp_path, "near.json", payload)
+        assert main(["classify", doc, "--tolerance", "0.1", "--verify"]) == 0
+        assert "status reproduced" in capsys.readouterr().out
+        assert main(["certify", doc, "--tolerance", "0.1"]) == 0
 
     def test_tolerance_field_in_document(self, tmp_path, capsys):
         doc = write_doc(
@@ -125,6 +167,20 @@ class TestClassifyCommand:
         doc = write_doc(tmp_path, "odd.json", {"m": 3, "n": 3, "r": 1, "seed": [1]})
         assert main(["classify", doc]) == 2
         assert "odd order" in capsys.readouterr().err
+
+
+class TestInternalError:
+    def test_exits_five_with_one_line(self, psd_doc, capsys, monkeypatch):
+        from anticirculant import classifier
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("simulated fault\nsecond line")
+
+        monkeypatch.setattr(classifier, "classify", broken)
+        assert main(["classify", psd_doc]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: RuntimeError: simulated fault second line\n"
 
 
 class TestNonFiniteInput:
@@ -284,6 +340,14 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert "power-sum" in out and "PASS" in out
         assert "strong-hankel" in out
+
+    def test_sample_is_a_diagnostic(self, tmp_path, capsys):
+        # the sampled error at this order is far above 1e-9; the identity holds
+        doc = write_doc(tmp_path, "c.json", {"m": 30, "n": 5, "r": 2, "seed": [1.0, -0.3]})
+        assert main(["certify", doc, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["power_sum"]["max_rel_err"] > 1e-9
+        assert payload["power_sum"]["passed"] is True
 
     def test_not_psd_has_no_certificate(self, notpsd_doc, capsys):
         assert main(["certify", notpsd_doc]) == 1
