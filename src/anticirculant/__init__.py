@@ -5,113 +5,14 @@ semidefiniteness through closed-form seed criteria, emit verifiable
 power-sum and strong-Hankel certificates or explicit negative witnesses,
 and cross-check everything against exact combinatorics and an independent
 numerical sphere-minimization oracle.
+
+The package root holds the Library API of the README; everything else is
+reached through its module (``anticirculant.polyeval``, ``.combinatorics``, ...).
 """
 
-from .tensor import (
-    DENSE_CAP_DEFAULT,
-    CirculantSpec,
-    GeneratingVector,
-    HankelMatrix,
-    HankelTensor,
-    WitnessVector,
-    entry,
-    expand,
-    hankel_matrix,
-    witnesses,
-)
-from .polyeval import (
-    CoefficientProfile,
-    alpha_coefficients,
-    coefficient_profile,
-    eval_fast,
-    eval_naive,
-    gradient,
-    residue_components,
-    value_and_gradient,
-)
-from .combinatorics import (
-    PeriodicSequence,
-    ResidueSumTable,
-    RigidityViolation,
-    SequenceVerdict,
-    SignFactRow,
-    all_sign_facts_pass,
-    residue_sum_table,
-    sign_fact_report,
-    theorem1_sums,
-    theorem1_verdict,
-)
-from .classifier import (
-    Case,
-    Certificate,
-    CertificateKind,
-    Status,
-    Verdict,
-    classify,
-    classify_generating_vector,
-    necessary_psd,
-    necessary_strong,
-    power_sum_certificate,
-    strong_hankel_check,
-    verify_power_sum,
-)
-from .oracle import (
-    MatrixPsdResult,
-    SphereMinResult,
-    SplitMix64,
-    jacobi_eigenvalues,
-    matrix_psd,
-    sphere_min,
-)
+from .classifier import Status, Verdict, classify, strong_hankel_check, verify_power_sum
+from .oracle import matrix_psd, sphere_min
+from .polyeval import eval_fast
+from .tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CirculantSpec",
-    "GeneratingVector",
-    "HankelMatrix",
-    "HankelTensor",
-    "WitnessVector",
-    "entry",
-    "expand",
-    "hankel_matrix",
-    "witnesses",
-    "DENSE_CAP_DEFAULT",
-    "CoefficientProfile",
-    "alpha_coefficients",
-    "coefficient_profile",
-    "eval_fast",
-    "eval_naive",
-    "gradient",
-    "residue_components",
-    "value_and_gradient",
-    "PeriodicSequence",
-    "ResidueSumTable",
-    "RigidityViolation",
-    "SequenceVerdict",
-    "SignFactRow",
-    "all_sign_facts_pass",
-    "residue_sum_table",
-    "sign_fact_report",
-    "theorem1_sums",
-    "theorem1_verdict",
-    "Case",
-    "Certificate",
-    "CertificateKind",
-    "Status",
-    "Verdict",
-    "classify",
-    "classify_generating_vector",
-    "necessary_psd",
-    "necessary_strong",
-    "power_sum_certificate",
-    "strong_hankel_check",
-    "verify_power_sum",
-    "MatrixPsdResult",
-    "SphereMinResult",
-    "SplitMix64",
-    "jacobi_eigenvalues",
-    "matrix_psd",
-    "sphere_min",
-    "__version__",
-]

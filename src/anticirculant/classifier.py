@@ -15,8 +15,9 @@ regimes, each with a finite seed-level criterion:
 (f) ``quartic-index-4``   m = 4, r = 4, n >= 4:
                           PSD iff v0 = v2, v1 = v3, |v1| <= v0.
 
-Anything else is ``Uncovered``: no claim is made, and a clearly non-certified
-numerical minimum estimate is attached as evidence.  NotPSD verdicts carry an
+Anything else, including a generating vector given without r, is
+``Uncovered`` unless a unit vector refutes it: no claim is made, and a clearly
+non-certified numerical minimum estimate is attached as evidence.  NotPSD verdicts carry an
 explicitly evaluated negative witness vector.  A covered PSD tensor is
 f = alpha*(x1+...+xn)^m + beta*(x1-x2+x3-...)^m with alpha, beta >= 0, i.e.
 v[s] = alpha + beta*(-1)^s; its verdict carries that power-sum certificate
@@ -41,6 +42,7 @@ from .combinatorics import SPECIAL_R3_ORDERS
 from .polyeval import eval_fast
 # hankel_matrix is not called here; bench/spans.py traces it under this name.
 from .tensor import (  # noqa: F401
+    NAMED_PATTERNS,
     CirculantSpec,
     GeneratingVector,
     WitnessVector,
@@ -179,19 +181,6 @@ def necessary_psd(gen: GeneratingVector, rel_tol: float = REL_TOL_DEFAULT) -> Ne
     tol = _effective_tol(gen.v, rel_tol)
     for j in range(gen.n):
         value = gen.v[j * gen.m]
-        if value < -tol:
-            return NecessaryCheck(passed=False, failing_index=j, value=float(value))
-    return NecessaryCheck(passed=True)
-
-
-def necessary_strong(gen: GeneratingVector, rel_tol: float = REL_TOL_DEFAULT) -> NecessaryCheck:
-    """Necessary condition for the strong Hankel property: v[2j] >= 0."""
-    if gen.m % 2 != 0:
-        raise ValueError(f"necessary conditions apply to even order, got m={gen.m}")
-    tol = _effective_tol(gen.v, rel_tol)
-    k = gen.m // 2
-    for j in range((gen.n - 1) * k + 1):
-        value = gen.v[2 * j]
         if value < -tol:
             return NecessaryCheck(passed=False, failing_index=j, value=float(value))
     return NecessaryCheck(passed=True)
@@ -347,44 +336,43 @@ def _pattern_witnesses(n: int, patterns):
             continue
 
 
-def _alpha_witnesses(spec: CirculantSpec, families=("alpha",)):
+def _alpha_witnesses(n: int, families=("alpha",)):
     for alpha in ALPHA_LADDER:
         for family in families:
-            yield from witnesses(spec, family, alpha=alpha)
+            yield from witnesses(n, family, alpha=alpha)
 
 
-def _witness_candidates(case: Case | None, spec: CirculantSpec, gen: GeneratingVector, tol):
+def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
     """Candidate witnesses in a fixed canonical order, case-specific first."""
     yield from _necessary_witnesses(gen, tol)
-    n = spec.n
+    n = gen.n
     if case in (Case.COPRIME_ODD, Case.INDEX_3_SPECIAL):
-        yield from witnesses(spec, "unit-difference")
+        yield from witnesses(n, "unit-difference")
     if case == Case.INDEX_3_SPECIAL:
         yield from _pattern_witnesses(n, ((1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)))
     if case == Case.INDEX_TWO:
         yield from _pattern_witnesses(n, ((1, -1), (1, 1)))
     if case == Case.EVEN_GCD_2:
-        yield from witnesses(spec, "step-2-difference")
+        yield from witnesses(n, "step-2-difference")
         yield from _pattern_witnesses(n, ((1, -1), (1, 1)))
-        yield from _alpha_witnesses(spec, ("alpha",))
+        yield from _alpha_witnesses(n, ("alpha",))
     if case == Case.QUARTIC_INDEX_4:
         yield from _pattern_witnesses(n, ((1, 0, -1, 0), (1, -1, -1, 1), (1, -1), (1, 1)))
-        yield from _alpha_witnesses(spec, ("alpha", "alpha-neg"))
+        yield from _alpha_witnesses(n, ("alpha", "alpha-neg"))
     # Generic tail: everything that fits, so no covered case can fall through
     # to the oracle merely because its family list was too narrow.
-    yield from witnesses(spec, "unit-difference")
+    yield from witnesses(n, "unit-difference")
     if n >= 3:
-        yield from witnesses(spec, "step-2-difference")
-    yield from _pattern_witnesses(n, ((1, -1), (1, 1), (1, 1, -2), (1, -3, 2),
-                                      (1, 2, -3), (1, 0, -1, 0), (1, -1, -1, 1)))
+        yield from witnesses(n, "step-2-difference")
+    yield from _pattern_witnesses(n, NAMED_PATTERNS)
 
 
-def _find_witness(case, spec, gen, tol, evidence_starts, rng_seed):
+def _find_witness(case, gen, tol, evidence_starts, rng_seed):
     """First canonical witness clearing the margin, else best effort + notes."""
     scale = gen.max_abs()
     threshold = -WITNESS_REL_MARGIN * scale
     best = None
-    for candidate in _witness_candidates(case, spec, gen, tol):
+    for candidate in _witness_candidates(case, gen, tol):
         value = float(eval_fast(gen, candidate.x))
         if value < threshold:
             return candidate, value, ()
@@ -428,8 +416,8 @@ def _psd_verdict(case, gen, tol, rel_tol, notes) -> Verdict:
     )
 
 
-def _not_psd_verdict(case, spec, gen, tol, rel_tol, notes, evidence_starts, rng_seed) -> Verdict:
-    witness, value, extra = _find_witness(case, spec, gen, tol, evidence_starts, rng_seed)
+def _not_psd_verdict(case, gen, tol, rel_tol, notes, evidence_starts, rng_seed) -> Verdict:
+    witness, value, extra = _find_witness(case, gen, tol, evidence_starts, rng_seed)
     return Verdict(
         status=Status.NOT_PSD,
         case=case,
@@ -441,30 +429,38 @@ def _not_psd_verdict(case, spec, gen, tol, rel_tol, notes, evidence_starts, rng_
 
 
 def classify(
-    spec: CirculantSpec,
+    subject: CirculantSpec | GeneratingVector,
     rel_tol: float = REL_TOL_DEFAULT,
     evidence_starts: int = 64,
     rng_seed: int = 0,
 ) -> Verdict:
-    """Verdict for a circulant spec: PSD with certificates, NotPSD with witness,
-    or Uncovered with clearly labeled numerical evidence.
+    """Verdict for a circulant spec or a generating vector: PSD with
+    certificates, NotPSD with witness, or Uncovered with clearly labeled
+    numerical evidence.
 
     Dispatch keys on the declared circulant index r; a seed that happens to
-    have a smaller true period is still classified under its declared r.
+    have a smaller true period is still classified under its declared r.  A
+    generating vector declares no r, so only the unit-vector necessary
+    condition can refute it, and everything else is Uncovered.
     """
-    if spec.m % 2 != 0:
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"relative tolerance must be finite and >= 0, got {rel_tol!r}")
+    if subject.m % 2 != 0:
         raise ValueError(
-            f"odd order m={spec.m} is not classifiable: the zero tensor is the "
+            f"odd order m={subject.m} is not classifiable: the zero tensor is the "
             "only odd-order positive semidefinite Hankel tensor"
         )
-    gen = expand(spec)
-    tol = _effective_tol(spec.seed, rel_tol)
-    case = _dispatch(spec.m, spec.n, spec.r)
+    if isinstance(subject, CirculantSpec):
+        gen = expand(subject)
+        tol = _effective_tol(subject.seed, rel_tol)
+        case = _dispatch(subject.m, subject.n, subject.r)
+    else:
+        gen, tol, case = subject, _effective_tol(subject.v, rel_tol), None
 
     notes: tuple[str, ...] = ()
-    if case == Case.EVEN_GCD_2 and spec.r > spec.n:
+    if case == Case.EVEN_GCD_2 and subject.r > subject.n:
         notes = (
-            f"circulant index r={spec.r} exceeds n={spec.n}: this regime extends "
+            f"circulant index r={subject.r} exceeds n={subject.n}: this regime extends "
             "the classical r <= n definition up to r <= 2n-4",
         )
 
@@ -472,62 +468,24 @@ def classify(
         nec = necessary_psd(gen, rel_tol)
         if not nec.passed:
             return _not_psd_verdict(
-                Case.NECESSARY_ONLY, spec, gen, tol, rel_tol, notes,
-                evidence_starts, rng_seed,
+                Case.NECESSARY_ONLY, gen, tol, rel_tol, notes, evidence_starts, rng_seed
             )
         evidence = oracle_mod.sphere_min(gen, starts=evidence_starts, rng_seed=rng_seed)
+        outside = (
+            f"(m={subject.m}, r={subject.r}) is outside the proved families"
+            if isinstance(subject, CirculantSpec)
+            else "no circulant index declared; the closed-form criteria do not apply"
+        )
         return Verdict(
             status=Status.UNCOVERED,
             case=None,
             tolerance=rel_tol,
             evidence=evidence,
             notes=notes + (
-                f"(m={spec.m}, r={spec.r}) is outside the proved families; "
-                "attached sphere-search minimum is evidence, not a certificate",
+                f"{outside}; attached sphere-search minimum is evidence, not a certificate",
             ),
         )
 
-    if _psd_conditions(case, spec.seed, tol):
+    if _psd_conditions(case, subject.seed, tol):
         return _psd_verdict(case, gen, tol, rel_tol, notes)
-    return _not_psd_verdict(case, spec, gen, tol, rel_tol, notes, evidence_starts, rng_seed)
-
-
-def classify_generating_vector(
-    gen: GeneratingVector,
-    rel_tol: float = REL_TOL_DEFAULT,
-    evidence_starts: int = 64,
-    rng_seed: int = 0,
-) -> Verdict:
-    """Classification without a declared circulant index.
-
-    Only the unit-vector necessary condition can refute; everything else is
-    Uncovered (the closed-form criteria all key on a declared r).
-    """
-    if gen.m % 2 != 0:
-        raise ValueError(
-            f"odd order m={gen.m} is not classifiable: the zero tensor is the "
-            "only odd-order positive semidefinite Hankel tensor"
-        )
-    tol = _effective_tol(gen.v, rel_tol)
-    nec = necessary_psd(gen, rel_tol)
-    if not nec.passed:
-        j = nec.failing_index
-        x = tuple(1 if i == j else 0 for i in range(gen.n))
-        return Verdict(
-            status=Status.NOT_PSD,
-            case=Case.NECESSARY_ONLY,
-            tolerance=rel_tol,
-            witness=WitnessVector(x, f"unit(e_{j + 1})"),
-            witness_value=float(nec.value),
-        )
-    evidence = oracle_mod.sphere_min(gen, starts=evidence_starts, rng_seed=rng_seed)
-    return Verdict(
-        status=Status.UNCOVERED,
-        case=None,
-        tolerance=rel_tol,
-        evidence=evidence,
-        notes=(
-            "no circulant index declared; the closed-form criteria do not apply; "
-            "attached sphere-search minimum is evidence, not a certificate",
-        ),
-    )
+    return _not_psd_verdict(case, gen, tol, rel_tol, notes, evidence_starts, rng_seed)

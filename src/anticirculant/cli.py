@@ -212,9 +212,7 @@ def _classify_document(args):
     if tolerance is not None:
         kwargs["rel_tol"] = tolerance
     try:
-        if isinstance(subject, tensor.CirculantSpec):
-            return subject, classifier.classify(subject, **kwargs)
-        return subject, classifier.classify_generating_vector(subject, **kwargs)
+        return subject, classifier.classify(subject, **kwargs)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
 
@@ -280,7 +278,7 @@ def cmd_eval(args) -> int:
             naive = polyeval.eval_naive(gen, tuple(x), cap=args.cap)
         except ValueError as exc:
             raise CliInputError(str(exc)) from None
-    grad = polyeval.gradient(gen, tuple(x)) if args.gradient else None
+    grad = polyeval.value_and_gradient(gen, tuple(x))[1] if args.gradient else None
 
     if args.json:
         payload = {"f": float(value)}

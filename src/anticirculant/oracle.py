@@ -262,14 +262,6 @@ class MatrixPsdResult:
     eigenvalues: tuple
     sweeps: int
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_eigenvalue": self.min_eigenvalue,
-            "eigenvalues": list(self.eigenvalues),
-            "sweeps": self.sweeps,
-        }
-
 
 def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 100):
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .tensor import (
@@ -51,27 +50,6 @@ def conv_power(x, m: int) -> list:
 
 def _dot(a, b):
     return sum(map(operator.mul, a, b))
-
-
-@dataclass(frozen=True)
-class CoefficientProfile:
-    """Coefficients ``c[s]`` multiplying ``v[s]`` in ``f(x) = dot(v, c)``."""
-
-    m: int
-    n: int
-    c: tuple
-
-    def total(self):
-        """Equals ``(x_1 + ... + x_n)**m`` for the profile's source vector."""
-        return sum(self.c)
-
-
-def coefficient_profile(x, m: int) -> CoefficientProfile:
-    """Profile of ``x`` at order ``m``; length ``(len(x) - 1) * m + 1``."""
-    n = len(x)
-    if n < 1:
-        raise ValueError("x must be nonempty")
-    return CoefficientProfile(m=m, n=n, c=tuple(conv_power(x, m)))
 
 
 def _check_dim(gen: GeneratingVector, x):
@@ -119,11 +97,6 @@ def value_and_gradient(gen: GeneratingVector, x):
     width = len(d)
     grad = tuple(m * _dot(d, v[i : i + width]) for i in range(gen.n))
     return value, grad
-
-
-def gradient(gen: GeneratingVector, x) -> tuple:
-    """Gradient of f at x; see :func:`value_and_gradient`."""
-    return value_and_gradient(gen, x)[1]
 
 
 def residue_components(spec: CirculantSpec, x) -> tuple:

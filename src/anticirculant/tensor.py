@@ -40,8 +40,6 @@ NAMED_PATTERNS: tuple[tuple[int, ...], ...] = (
     (1, -1, -1, 1),
 )
 
-WITNESS_FAMILIES = ("unit-difference", "step-2-difference", "alpha", "alpha-neg")
-
 
 def _require_finite(values, what: str) -> None:
     # ints and Fractions are always finite; only floats can carry NaN or inf
@@ -263,8 +261,8 @@ def pattern_vector(pattern, n: int) -> tuple:
     return tuple(pattern[i] if i < len(pattern) else 0 for i in range(n))
 
 
-def witnesses(spec: CirculantSpec, family: str, alpha=None) -> list[WitnessVector]:
-    """Members of a canonical witness family for the given tensor shape.
+def witnesses(n: int, family: str, alpha=None) -> list[WitnessVector]:
+    """Members of a canonical witness family in dimension ``n``.
 
     Families:
 
@@ -274,7 +272,6 @@ def witnesses(spec: CirculantSpec, family: str, alpha=None) -> list[WitnessVecto
       for ``q = 1..n`` at a concrete ``alpha`` value (needs n >= 3).
     * ``"pattern:a,b,..."``: the single zero-padded constant pattern.
     """
-    n = spec.n
     out: list[WitnessVector] = []
     if family == "unit-difference":
         for q in range(1, n + 1):
@@ -310,13 +307,12 @@ def candidate_witnesses(n: int, alphas=(2.0, 4.0, 8.0, 16.0)) -> list[WitnessVec
     alpha families at the supplied alpha values, then the named constant
     patterns that fit.
     """
-    dummy = CirculantSpec(m=2, n=n, r=1, seed=(0.0,))
-    out = list(witnesses(dummy, "unit-difference"))
+    out = witnesses(n, "unit-difference")
     if n >= 3:
-        out.extend(witnesses(dummy, "step-2-difference"))
+        out.extend(witnesses(n, "step-2-difference"))
         for alpha in alphas:
-            out.extend(witnesses(dummy, "alpha", alpha=alpha))
-            out.extend(witnesses(dummy, "alpha-neg", alpha=alpha))
+            out.extend(witnesses(n, "alpha", alpha=alpha))
+            out.extend(witnesses(n, "alpha-neg", alpha=alpha))
     for pattern in NAMED_PATTERNS:
         try:
             vec = pattern_vector(pattern, n)

@@ -16,9 +16,7 @@ from anticirculant.classifier import (
     Status,
     WITNESS_REL_MARGIN,
     classify,
-    classify_generating_vector,
     necessary_psd,
-    necessary_strong,
     power_sum_certificate,
     power_sum_value,
     strong_hankel_check,
@@ -32,12 +30,10 @@ from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel
 class TestNecessaryConditions:
     def test_all_ones_pass(self):
         assert necessary_psd(expand(CirculantSpec(4, 3, 1, (1,)))).passed
-        assert necessary_strong(expand(CirculantSpec(4, 3, 1, (1,)))).passed
 
     def test_zero_tensor_passes(self):
         gen = GeneratingVector(4, 3, (0,) * 9)
         assert necessary_psd(gen).passed
-        assert necessary_strong(gen).passed
 
     def test_negative_unit_value_fails(self):
         v = [1.0] * 9
@@ -46,12 +42,6 @@ class TestNecessaryConditions:
         assert not check.passed
         assert check.failing_index == 1
         assert check.value == -1.0
-
-    def test_negative_even_entry_fails_strong(self):
-        v = [1.0] * 9
-        v[2] = -1.0
-        check = necessary_strong(GeneratingVector(4, 3, tuple(v)))
-        assert not check.passed
 
     def test_odd_order_rejected(self):
         gen = GeneratingVector(3, 3, (1,) * 7)
@@ -397,14 +387,20 @@ class TestUncoveredAndNotes:
 
     def test_generating_vector_without_index(self):
         gen = GeneratingVector(4, 3, (1,) * 9)
-        verdict = classify_generating_vector(gen)
+        verdict = classify(gen)
         assert verdict.status == Status.UNCOVERED
         assert any("no circulant index" in note for note in verdict.notes)
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, rel_tol):
+        for subject in (CirculantSpec(4, 4, 2, (1.0, 1.2)), GeneratingVector(2, 2, (1, 0, 1))):
+            with pytest.raises(ValueError, match="tolerance"):
+                classify(subject, rel_tol=rel_tol)
 
     def test_generating_vector_refuted_by_units(self):
         v = [1.0] * 9
         v[4] = -2.0
-        verdict = classify_generating_vector(GeneratingVector(4, 3, tuple(v)))
+        verdict = classify(GeneratingVector(4, 3, tuple(v)))
         assert verdict.status == Status.NOT_PSD
         assert verdict.witness.x == (0, 1, 0)
         assert verdict.witness_value == -2.0

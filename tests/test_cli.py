@@ -135,6 +135,15 @@ class TestClassifyCommand:
         assert code == 4
         assert "no circulant index" in out
 
+    def test_genvec_witness_inside_margin_is_noted(self, tmp_path, capsys):
+        # e_1 evaluates to -1e-10, inside the -1e-9 * max|v| verification margin
+        doc = write_doc(tmp_path, "gv.json", {"m": 2, "n": 2, "genvec": [-1e-10, 0, 1]})
+        assert main(["classify", doc, "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert "witness_value: -1e-10" in out
+        assert "note: witness value clears zero but not the verification margin" in out
+        assert "status reproduced" in out
+
     def test_tolerance_flag_loosens_equality(self, tmp_path, capsys):
         doc = write_doc(
             tmp_path, "near.json", {"m": 4, "n": 3, "r": 3, "seed": [1.0, 1.4, 1.0]}
@@ -253,6 +262,20 @@ class TestDocumentErrors:
             {"m": 4, "n": 3, "r": 1, "seed": [1], "tolerance": -1},
         )
         assert main(["classify", doc]) == 2
+
+    def test_nan_tolerance_field_rejected(self, tmp_path, capsys):
+        doc = write_doc(
+            tmp_path, "tol.json", '{"m": 4, "n": 4, "r": 2, "seed": [1.0, 1.2], "tolerance": NaN}'
+        )
+        assert main(["classify", doc]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["inf", "nan", "-1"])
+    def test_bad_tolerance_flag_rejected(self, notpsd_doc, capsys, flag):
+        assert main(["classify", notpsd_doc, "--verify", f"--tolerance={flag}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err
 
 
 class TestEvalCommand:

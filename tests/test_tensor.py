@@ -221,22 +221,19 @@ class TestHankelMatrix:
 
 class TestWitnesses:
     def test_unit_difference_n3(self):
-        spec = CirculantSpec(4, 3, 1, (1,))
-        got = [w.x for w in witnesses(spec, "unit-difference")]
+        got = [w.x for w in witnesses(3, "unit-difference")]
         assert got == [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
 
     def test_step2_difference_n4(self):
-        spec = CirculantSpec(4, 4, 1, (1,))
-        got = [w.x for w in witnesses(spec, "step-2-difference")]
+        got = [w.x for w in witnesses(4, "step-2-difference")]
         assert got == [(1, 0, -1, 0), (0, 1, 0, -1), (-1, 0, 1, 0), (0, -1, 0, 1)]
 
     def test_step2_needs_three_coordinates(self):
         with pytest.raises(ValueError, match="n >= 3"):
-            witnesses(CirculantSpec(4, 2, 1, (1,)), "step-2-difference")
+            witnesses(2, "step-2-difference")
 
     def test_pattern_family(self):
-        spec = CirculantSpec(4, 4, 1, (1,))
-        got = witnesses(spec, "pattern:1,-1,-1,1")
+        got = witnesses(4, "pattern:1,-1,-1,1")
         assert len(got) == 1
         assert got[0].x == (1, -1, -1, 1)
 
@@ -250,16 +247,14 @@ class TestWitnesses:
         assert pattern_vector((1, -1), 5) == (1, -1, 0, 0, 0)
 
     def test_alpha_family_values(self):
-        spec = CirculantSpec(4, 3, 1, (1,))
-        got = {w.label: w.x for w in witnesses(spec, "alpha", alpha=2.0)}
+        got = {w.label: w.x for w in witnesses(3, "alpha", alpha=2.0)}
         # q=1 wraps e_0 to e_3: x = e_1 + alpha*e_3 - alpha*e_2
         assert got["alpha(q=1, alpha=2.0)"] == (1, -2.0, 2.0)
         assert got["alpha(q=2, alpha=2.0)"] == (2.0, 1, -2.0)
 
     def test_alpha_neg_flips_center(self):
-        spec = CirculantSpec(4, 3, 1, (1,))
-        plus = witnesses(spec, "alpha", alpha=4.0)[1].x
-        minus = witnesses(spec, "alpha-neg", alpha=4.0)[1].x
+        plus = witnesses(3, "alpha", alpha=4.0)[1].x
+        minus = witnesses(3, "alpha-neg", alpha=4.0)[1].x
         assert plus == (4.0, 1, -4.0)
         assert minus == (4.0, -1, -4.0)
 
@@ -267,21 +262,18 @@ class TestWitnesses:
         for family in ("alpha", "alpha-neg"):
             for q in range(1, 5):
                 coords = alpha_template(family, q, 4)
-                concrete = witnesses(
-                    CirculantSpec(4, 4, 1, (1,)), family, alpha=3.0
-                )[q - 1].x
+                concrete = witnesses(4, family, alpha=3.0)[q - 1].x
                 assert tuple(c0 + c1 * 3.0 for c0, c1 in coords) == concrete
 
     def test_alpha_needs_value_and_room(self):
-        spec = CirculantSpec(4, 3, 1, (1,))
         with pytest.raises(ValueError, match="alpha"):
-            witnesses(spec, "alpha")
+            witnesses(3, "alpha")
         with pytest.raises(ValueError, match="n >= 3"):
             alpha_template("alpha", 1, 2)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown"):
-            witnesses(CirculantSpec(4, 3, 1, (1,)), "mystery")
+            witnesses(3, "mystery")
 
     def test_witness_vector_must_be_nonzero(self):
         with pytest.raises(ValueError):
