@@ -1,27 +1,26 @@
 """Closed-form positive semidefiniteness classification for circulant Hankel tensors.
 
-``classify`` dispatches on the declared shape (m, n, r) to one of six proved
-regimes, each with a finite seed-level criterion:
+In each of six proved regimes a tensor is PSD iff its generating vector is
+v[s] = alpha + beta*(-1)^s with alpha, beta >= 0, i.e.
+f = alpha*(x1+...+xn)^m + beta*(x1-x2+x3-...)^m.  On the seed: for even r,
+even seeds all equal, odd seeds all equal, and v0 >= |v1|; for odd r the two
+parity classes merge, so all seeds equal and v0 >= 0.  ``classify`` dispatches
+on the declared shape (m, n, r):
 
-(a) ``index-1``           r = 1:                      PSD iff v0 >= 0.
-(b) ``coprime-odd``       r odd, gcd(m, r) = 1, r <= n:
-                          PSD iff all seeds equal and >= 0.
-(c) ``index-3-special``   r = 3, m in {6, 12, 18, 30, 42}, n >= 3:
-                          same criterion as (b).
-(d) ``index-2``           r = 2:                      PSD iff |v1| <= v0.
-(e) ``even-gcd-2``        r even, 4 <= r <= 2n - 4, gcd(m, r) = 2:
-                          PSD iff even seeds all equal, odd seeds all equal,
-                          and v0 >= |v1|.
-(f) ``quartic-index-4``   m = 4, r = 4, n >= 4:
-                          PSD iff v0 = v2, v1 = v3, |v1| <= v0.
+(a) ``index-1``           r = 1
+(b) ``coprime-odd``       r odd, gcd(m, r) = 1, r <= n
+(c) ``index-3-special``   r = 3, m in {6, 12, 18, 30, 42}, n >= 3
+(d) ``index-2``           r = 2
+(e) ``even-gcd-2``        r even, 4 <= r <= 2n - 4, gcd(m, r) = 2
+(f) ``quartic-index-4``   m = 4, r = 4, n >= 4
 
-Anything else, including a generating vector given without r, is
-``Uncovered`` unless a unit vector refutes it: no claim is made, and a clearly
-non-certified numerical minimum estimate is attached as evidence.  NotPSD verdicts carry an
-explicitly evaluated negative witness vector.  A covered PSD tensor is
-f = alpha*(x1+...+xn)^m + beta*(x1-x2+x3-...)^m with alpha, beta >= 0, i.e.
-v[s] = alpha + beta*(-1)^s; its verdict carries that power-sum certificate
-and the strong-Hankel one it implies (the associated Hankel matrix is then
+The case only decides that failing the rule is a proved NotPSD and which
+witness families are tried first.  Anything else, including a generating
+vector given without r, is ``Uncovered`` unless a unit vector refutes it: no
+claim is made, and a clearly non-certified numerical minimum estimate is
+attached as evidence.  NotPSD verdicts carry an explicitly evaluated negative
+witness vector.  A PSD verdict carries the power-sum certificate and the
+strong-Hankel one it implies (the associated Hankel matrix is then
 alpha*11^T + beta*aa^T), both checked by ``strong_hankel_check`` in O(L).
 
 Only even orders are classifiable: for odd m the zero tensor is the only
@@ -46,10 +45,11 @@ from .tensor import (  # noqa: F401
     CirculantSpec,
     GeneratingVector,
     WitnessVector,
+    alpha_witnesses,
+    differences,
     expand,
     hankel_matrix,
-    pattern_vector,
-    witnesses,
+    pattern_witnesses,
 )
 
 REL_TOL_DEFAULT = 1e-12
@@ -110,13 +110,6 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class NecessaryCheck:
-    passed: bool
-    failing_index: int | None = None
-    value: float | None = None
-
-
-@dataclass(frozen=True)
 class StrongHankelResult:
     """``residual`` is max_s |v[s] - (alpha + beta*(-1)^s)|; ``slack`` bounds it."""
 
@@ -170,22 +163,6 @@ def _all_equal(values, tol) -> bool:
     return hi - lo <= tol
 
 
-def necessary_psd(gen: GeneratingVector, rel_tol: float = REL_TOL_DEFAULT) -> NecessaryCheck:
-    """Necessary condition from the unit vectors: v[j*m] >= 0 for j = 0..n-1.
-
-    Each unit vector e_{j+1} evaluates f to exactly v[j*m], so a failure
-    index j is already a counterexample witness.
-    """
-    if gen.m % 2 != 0:
-        raise ValueError(f"necessary conditions apply to even order, got m={gen.m}")
-    tol = _effective_tol(gen.v, rel_tol)
-    for j in range(gen.n):
-        value = gen.v[j * gen.m]
-        if value < -tol:
-            return NecessaryCheck(passed=False, failing_index=j, value=float(value))
-    return NecessaryCheck(passed=True)
-
-
 def _dispatch(m: int, n: int, r: int) -> Case | None:
     if r == 1:
         return Case.INDEX_ONE
@@ -202,27 +179,15 @@ def _dispatch(m: int, n: int, r: int) -> Case | None:
     return None
 
 
-def _psd_conditions(case: Case, seed, tol) -> bool:
-    v0 = seed[0]
-    if case == Case.INDEX_ONE:
-        return v0 >= -tol
-    if case in (Case.COPRIME_ODD, Case.INDEX_3_SPECIAL):
-        return _all_equal(seed, tol) and v0 >= -tol
-    if case == Case.INDEX_TWO:
-        return v0 - abs(seed[1]) >= -tol
-    if case == Case.EVEN_GCD_2:
-        return (
-            _all_equal(seed[0::2], tol)
-            and _all_equal(seed[1::2], tol)
-            and v0 - abs(seed[1]) >= -tol
-        )
-    if case == Case.QUARTIC_INDEX_4:
-        return (
-            abs(seed[0] - seed[2]) <= tol
-            and abs(seed[1] - seed[3]) <= tol
-            and v0 - abs(seed[1]) >= -tol
-        )
-    raise ValueError(f"no seed criterion for case {case}")
+def _psd_conditions(seed, tol) -> bool:
+    """The rule v[s] = alpha + beta*(-1)^s, alpha, beta >= 0, on an r-entry seed."""
+    if len(seed) % 2:
+        return _all_equal(seed, tol) and seed[0] >= -tol
+    return (
+        _all_equal(seed[0::2], tol)
+        and _all_equal(seed[1::2], tol)
+        and seed[0] - abs(seed[1]) >= -tol
+    )
 
 
 def power_sum_certificate(gen: GeneratingVector, tol) -> Certificate:
@@ -297,8 +262,8 @@ def strong_hankel_check(
     a = (1, -1, ...), of the N x N associated Hankel matrix (Qi, CMS 2015).
     ``min_eigenvalue`` is that form's floor less the Weyl term N*residual.
     slack is CERTIFICATE_ULPS ulps of max|v| plus twice the seed-comparison
-    slack: the even-gcd-2 and quartic-index-4 criteria chain two comparisons
-    (odd seed with v1, |v1| with v0), so an accepted seed can miss by both.
+    slack: for even r the rule chains two comparisons (odd seed with v1,
+    |v1| with v0), so an accepted seed can miss by both.
     """
     alpha, beta = cert.v0 * cert.t, cert.v0 * (1.0 - cert.t)
     even, odd = alpha + beta, alpha - beta
@@ -328,18 +293,10 @@ def _necessary_witnesses(gen: GeneratingVector, tol):
             yield WitnessVector(x, f"unit(e_{j + 1})")
 
 
-def _pattern_witnesses(n: int, patterns):
-    for pattern in patterns:
-        try:
-            yield WitnessVector(pattern_vector(pattern, n), f"pattern{pattern}")
-        except ValueError:
-            continue
-
-
-def _alpha_witnesses(n: int, families=("alpha",)):
+def _alpha_witnesses(n: int, families):
     for alpha in ALPHA_LADDER:
         for family in families:
-            yield from witnesses(n, family, alpha=alpha)
+            yield from alpha_witnesses(n, family, alpha)
 
 
 def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
@@ -347,24 +304,24 @@ def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
     yield from _necessary_witnesses(gen, tol)
     n = gen.n
     if case in (Case.COPRIME_ODD, Case.INDEX_3_SPECIAL):
-        yield from witnesses(n, "unit-difference")
+        yield from differences(n, 1)
     if case == Case.INDEX_3_SPECIAL:
-        yield from _pattern_witnesses(n, ((1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)))
+        yield from pattern_witnesses(n, ((1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)))
     if case == Case.INDEX_TWO:
-        yield from _pattern_witnesses(n, ((1, -1), (1, 1)))
+        yield from pattern_witnesses(n, ((1, -1), (1, 1)))
     if case == Case.EVEN_GCD_2:
-        yield from witnesses(n, "step-2-difference")
-        yield from _pattern_witnesses(n, ((1, -1), (1, 1)))
+        yield from differences(n, 2)
+        yield from pattern_witnesses(n, ((1, -1), (1, 1)))
         yield from _alpha_witnesses(n, ("alpha",))
     if case == Case.QUARTIC_INDEX_4:
-        yield from _pattern_witnesses(n, ((1, 0, -1, 0), (1, -1, -1, 1), (1, -1), (1, 1)))
+        yield from pattern_witnesses(n, ((1, 0, -1, 0), (1, -1, -1, 1), (1, -1), (1, 1)))
         yield from _alpha_witnesses(n, ("alpha", "alpha-neg"))
     # Generic tail: everything that fits, so no covered case can fall through
     # to the oracle merely because its family list was too narrow.
-    yield from witnesses(n, "unit-difference")
+    yield from differences(n, 1)
     if n >= 3:
-        yield from witnesses(n, "step-2-difference")
-    yield from _pattern_witnesses(n, NAMED_PATTERNS)
+        yield from differences(n, 2)
+    yield from pattern_witnesses(n, NAMED_PATTERNS)
 
 
 def _find_witness(case, gen, tol, evidence_starts, rng_seed):
@@ -465,8 +422,8 @@ def classify(
         )
 
     if case is None:
-        nec = necessary_psd(gen, rel_tol)
-        if not nec.passed:
+        # unit vector e_{j+1} evaluates f to v[j*m]: a necessary condition
+        if any(gen.v[j * gen.m] < -tol for j in range(gen.n)):
             return _not_psd_verdict(
                 Case.NECESSARY_ONLY, gen, tol, rel_tol, notes, evidence_starts, rng_seed
             )
@@ -486,6 +443,6 @@ def classify(
             ),
         )
 
-    if _psd_conditions(case, subject.seed, tol):
+    if _psd_conditions(subject.seed, tol):
         return _psd_verdict(case, gen, tol, rel_tol, notes)
     return _not_psd_verdict(case, gen, tol, rel_tol, notes, evidence_starts, rng_seed)

@@ -132,9 +132,13 @@ def load_spec_document(path: str):
 
     tolerance = doc.get("tolerance")
     if tolerance is not None:
-        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
-            raise CliInputError(f"{path}: field 'tolerance' must be a positive number")
-        tolerance = float(tolerance)
+        # only the type is checked here; classify validates the value
+        if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
+            raise CliInputError(f"{path}: field 'tolerance' must be a number")
+        try:
+            tolerance = float(tolerance)
+        except OverflowError:
+            raise CliInputError(f"{path}: field 'tolerance' is too large") from None
 
     try:
         if has_genvec:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Largest number of entries for which dense materialization is permitted.
+#: Largest number of index tuples brute-force evaluation may visit.
 DENSE_CAP_DEFAULT = 1_000_000
 
 #: Constant sign patterns used as ready-made witness vectors.  Each pattern is
@@ -42,9 +42,16 @@ NAMED_PATTERNS: tuple[tuple[int, ...], ...] = (
 
 
 def _require_finite(values, what: str) -> None:
-    # ints and Fractions are always finite; only floats can carry NaN or inf
+    # floats can carry NaN or inf; an int or Fraction is finite but must still
+    # fit in float64, since the numerical layers and the certificate use floats
     for t in values:
-        if isinstance(t, float) and not math.isfinite(t):
+        try:
+            finite = math.isfinite(t)
+        except OverflowError:
+            raise ValueError(
+                f"{what} entries must be finite, got one too large for float64"
+            ) from None
+        if not finite:
             raise ValueError(f"{what} entries must be finite, got {t!r}")
 
 
@@ -127,51 +134,16 @@ def expand(spec: CirculantSpec) -> GeneratingVector:
     return GeneratingVector(spec.m, spec.n, v)
 
 
-@dataclass(frozen=True)
-class HankelTensor:
-    """Lazy view of the symmetric tensor generated by ``gen``.
-
-    Entries are computed on demand from the generating vector; a dense numpy
-    array is only built on request and only under the entry-count cap.
-    """
-
-    gen: GeneratingVector
-
-    @property
-    def m(self) -> int:
-        return self.gen.m
-
-    @property
-    def n(self) -> int:
-        return self.gen.n
-
-    def entry(self, idx):
-        """Tensor entry at 1-based indices ``idx`` (any order; the tensor is symmetric)."""
-        gen = self.gen
-        if len(idx) != gen.m:
-            raise ValueError(f"need {gen.m} indices, got {len(idx)}")
-        total = 0
-        for i in idx:
-            if not 1 <= i <= gen.n:
-                raise ValueError(f"index {i} outside 1..{gen.n}")
-            total += i
-        return gen.v[total - gen.m]
-
-    def materialize(self, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-        """Dense ``(n,) * m`` array of entries.  Refuses when ``n**m > cap``."""
-        gen = self.gen
-        count = gen.n ** gen.m
-        if count > cap:
-            raise ValueError(f"dense tensor would hold {count} entries, cap is {cap}")
-        index_sum = np.indices((gen.n,) * gen.m, dtype=np.int64).sum(axis=0)
-        dense = np.asarray(gen.v, dtype=float)[index_sum]
-        dense.flags.writeable = False
-        return dense
-
-
-def entry(gen: GeneratingVector, idx) -> float:
-    """Tensor entry at 1-based indices ``idx``; see :meth:`HankelTensor.entry`."""
-    return HankelTensor(gen).entry(idx)
+def entry(gen: GeneratingVector, idx):
+    """Tensor entry at 1-based indices ``idx`` (any order; the tensor is symmetric)."""
+    if len(idx) != gen.m:
+        raise ValueError(f"need {gen.m} indices, got {len(idx)}")
+    total = 0
+    for i in idx:
+        if not 1 <= i <= gen.n:
+            raise ValueError(f"index {i} outside 1..{gen.n}")
+        total += i
+    return gen.v[total - gen.m]
 
 
 @dataclass(frozen=True)
@@ -218,12 +190,6 @@ class WitnessVector:
             raise ValueError("witness vector must be nonzero")
 
 
-def _unit(n: int, pos: int, value=1) -> list:
-    x = [0] * n
-    x[pos - 1] = value
-    return x
-
-
 def _wrap(pos: int, n: int) -> int:
     # 1-based cyclic position: 0 stands for n, n + 1 for 1, n + 2 for 2.
     return (pos - 1) % n + 1
@@ -261,62 +227,61 @@ def pattern_vector(pattern, n: int) -> tuple:
     return tuple(pattern[i] if i < len(pattern) else 0 for i in range(n))
 
 
-def witnesses(n: int, family: str, alpha=None) -> list[WitnessVector]:
-    """Members of a canonical witness family in dimension ``n``.
+def differences(n: int, step: int) -> list[WitnessVector]:
+    """``e_q - e_{q+step}`` for ``q = 1..n`` (cyclic; needs n > step).
 
-    Families:
-
-    * ``"unit-difference"``: ``e_q - e_{q+1}`` for ``q = 1..n`` (cyclic).
-    * ``"step-2-difference"``: ``e_q - e_{q+2}`` for ``q = 1..n`` (cyclic, needs n >= 3).
-    * ``"alpha"`` / ``"alpha-neg"``: ``alpha*e_{q-1} +/- e_q - alpha*e_{q+1}``
-      for ``q = 1..n`` at a concrete ``alpha`` value (needs n >= 3).
-    * ``"pattern:a,b,..."``: the single zero-padded constant pattern.
+    Labelled ``unit-difference(q=...)`` for step 1, else ``step-<step>-difference(q=...)``.
     """
-    out: list[WitnessVector] = []
-    if family == "unit-difference":
-        for q in range(1, n + 1):
-            x = _unit(n, q)
-            x[_wrap(q + 1, n) - 1] -= 1
-            out.append(WitnessVector(tuple(x), f"unit-difference(q={q})"))
-    elif family == "step-2-difference":
-        if n < 3:
-            raise ValueError(f"step-2-difference needs n >= 3, got n={n}")
-        for q in range(1, n + 1):
-            x = _unit(n, q)
-            x[_wrap(q + 2, n) - 1] -= 1
-            out.append(WitnessVector(tuple(x), f"step-2-difference(q={q})"))
-    elif family in ("alpha", "alpha-neg"):
-        if alpha is None:
-            raise ValueError(f"family {family!r} needs a concrete alpha value")
-        for q in range(1, n + 1):
-            coords = alpha_template(family, q, n)
-            x = tuple(c0 + c1 * alpha for c0, c1 in coords)
-            out.append(WitnessVector(x, f"{family}(q={q}, alpha={alpha})"))
-    elif family.startswith("pattern:"):
-        pattern = tuple(int(t) for t in family.split(":", 1)[1].split(","))
-        out.append(WitnessVector(pattern_vector(pattern, n), f"pattern{pattern}"))
-    else:
-        raise ValueError(f"unknown witness family {family!r}")
+    if n <= step:
+        raise ValueError(f"step-{step}-difference needs n >= {step + 1}, got n={n}")
+    name = "unit-difference" if step == 1 else f"step-{step}-difference"
+    out = []
+    for q in range(1, n + 1):
+        x = [0] * n
+        x[q - 1] = 1
+        x[_wrap(q + step, n) - 1] -= 1
+        out.append(WitnessVector(tuple(x), f"{name}(q={q})"))
     return out
 
 
-def candidate_witnesses(n: int, alphas=(2.0, 4.0, 8.0, 16.0)) -> list[WitnessVector]:
+def alpha_witnesses(n: int, family: str, alpha) -> list[WitnessVector]:
+    """``alpha*e_{q-1} +/- e_q - alpha*e_{q+1}`` for ``q = 1..n`` at a concrete alpha.
+
+    ``family`` is ``"alpha"`` (+) or ``"alpha-neg"`` (-); see :func:`alpha_template`.
+    """
+    out = []
+    for q in range(1, n + 1):
+        x = tuple(c0 + c1 * alpha for c0, c1 in alpha_template(family, q, n))
+        out.append(WitnessVector(x, f"{family}(q={q}, alpha={alpha})"))
+    return out
+
+
+def pattern_witnesses(n: int, patterns) -> list[WitnessVector]:
+    """Each pattern zero padded to dimension ``n``; patterns that do not fit are skipped."""
+    out = []
+    for pattern in patterns:
+        try:
+            out.append(WitnessVector(pattern_vector(pattern, n), f"pattern{pattern}"))
+        except ValueError:
+            continue
+    return out
+
+
+#: Alpha values of the alpha families among the numerical search's candidates.
+CANDIDATE_ALPHAS = (2.0, 4.0, 8.0, 16.0)
+
+
+def candidate_witnesses(n: int) -> list[WitnessVector]:
     """Every witness-family member that fits dimension ``n``, in a fixed order.
 
     Used to seed numerical searches: unit differences, step-2 differences,
-    alpha families at the supplied alpha values, then the named constant
-    patterns that fit.
+    alpha families at ``CANDIDATE_ALPHAS``, then the named constant patterns
+    that fit.
     """
-    out = witnesses(n, "unit-difference")
+    out = differences(n, 1)
     if n >= 3:
-        out.extend(witnesses(n, "step-2-difference"))
-        for alpha in alphas:
-            out.extend(witnesses(n, "alpha", alpha=alpha))
-            out.extend(witnesses(n, "alpha-neg", alpha=alpha))
-    for pattern in NAMED_PATTERNS:
-        try:
-            vec = pattern_vector(pattern, n)
-        except ValueError:
-            continue
-        out.append(WitnessVector(vec, f"pattern{pattern}"))
-    return out
+        out += differences(n, 2)
+        for alpha in CANDIDATE_ALPHAS:
+            out += alpha_witnesses(n, "alpha", alpha)
+            out += alpha_witnesses(n, "alpha-neg", alpha)
+    return out + pattern_witnesses(n, NAMED_PATTERNS)

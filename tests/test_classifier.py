@@ -16,7 +16,6 @@ from anticirculant.classifier import (
     Status,
     WITNESS_REL_MARGIN,
     classify,
-    necessary_psd,
     power_sum_certificate,
     power_sum_value,
     strong_hankel_check,
@@ -28,25 +27,28 @@ from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel
 
 
 class TestNecessaryConditions:
+    # a generating vector declares no r: only the unit vectors can refute it
     def test_all_ones_pass(self):
-        assert necessary_psd(expand(CirculantSpec(4, 3, 1, (1,)))).passed
+        gen = expand(CirculantSpec(4, 3, 1, (1,)))
+        assert classify(gen, evidence_starts=4).status == Status.UNCOVERED
 
     def test_zero_tensor_passes(self):
         gen = GeneratingVector(4, 3, (0,) * 9)
-        assert necessary_psd(gen).passed
+        assert classify(gen, evidence_starts=4).status == Status.UNCOVERED
 
     def test_negative_unit_value_fails(self):
         v = [1.0] * 9
         v[4] = -1.0  # j = 1 reads v[j * m] = v[4]
-        check = necessary_psd(GeneratingVector(4, 3, tuple(v)))
-        assert not check.passed
-        assert check.failing_index == 1
-        assert check.value == -1.0
+        verdict = classify(GeneratingVector(4, 3, tuple(v)))
+        assert verdict.status == Status.NOT_PSD
+        assert verdict.case == Case.NECESSARY_ONLY
+        assert verdict.witness.label == "unit(e_2)"
+        assert verdict.witness_value == -1.0
 
     def test_odd_order_rejected(self):
         gen = GeneratingVector(3, 3, (1,) * 7)
-        with pytest.raises(ValueError, match="even"):
-            necessary_psd(gen)
+        with pytest.raises(ValueError, match="odd order"):
+            classify(gen)
 
 
 class TestDispatch:
@@ -422,6 +424,67 @@ class TestExactMode:
     def test_float_seeds_use_relative_tolerance(self):
         verdict = classify(CirculantSpec(4, 3, 3, (1.0, 1.0, 1.0 + 1e-14)))
         assert verdict.status == Status.PSD
+
+
+#: The README's six rows as written there, each comparison given the slack tol.
+README_ROWS = {
+    Case.INDEX_ONE: lambda v, tol: v[0] >= -tol,
+    Case.COPRIME_ODD: lambda v, tol: max(v) - min(v) <= tol and v[0] >= -tol,
+    Case.INDEX_3_SPECIAL: lambda v, tol: max(v) - min(v) <= tol and v[0] >= -tol,
+    Case.INDEX_TWO: lambda v, tol: abs(v[1]) <= v[0] + tol,
+    Case.EVEN_GCD_2: lambda v, tol: (
+        max(v[0::2]) - min(v[0::2]) <= tol
+        and max(v[1::2]) - min(v[1::2]) <= tol
+        and v[0] >= abs(v[1]) - tol
+    ),
+    Case.QUARTIC_INDEX_4: lambda v, tol: (
+        abs(v[0] - v[2]) <= tol and abs(v[1] - v[3]) <= tol and abs(v[1]) <= v[0] + tol
+    ),
+}
+ROW_SHAPES = {
+    Case.INDEX_ONE: (4, 3, 1),
+    Case.COPRIME_ODD: (4, 6, 5),
+    Case.INDEX_3_SPECIAL: (6, 4, 3),
+    Case.INDEX_TWO: (4, 4, 2),
+    Case.EVEN_GCD_2: (6, 5, 4),
+    Case.QUARTIC_INDEX_4: (4, 6, 4),
+}
+#: Large enough that 1.5 tol off the rule is far above witness resolution.
+MARGIN_TOL = 0.01
+
+
+def _seeds_around_the_rule(r, one, d, within):
+    """(seed, PSD?) pairs: each seed misses one condition of the rule by d, the
+    others held with room; ``within`` says whether d is inside the slack."""
+    if r % 2:
+        # the slack scales with max|seed|, so below zero only the sign counts
+        pairs = [([-d * one] * r, d == 0)]
+        if r > 1:
+            pairs += [([one] * (r - 1) + [one + d], within), ([one] * (r - 1) + [one - d], within)]
+        return pairs
+    pairs = [([one, one + d] * (r // 2), within), ([one, -one - d] * (r // 2), within)]
+    for i in range(2, r):  # the parity classes
+        for sign in (1, -1):
+            seed = [one, one / 2] * (r // 2)
+            seed[i] += sign * d
+            pairs.append((seed, within))
+    return pairs
+
+
+class TestSeedRuleMargins:
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    @pytest.mark.parametrize("case", list(ROW_SHAPES), ids=lambda case: case.value)
+    def test_status_follows_the_readme_row(self, case, exact):
+        m, n, r = ROW_SHAPES[case]
+        one = Fraction(1) if exact else 1.0
+        misses = (0, Fraction(1, 1000)) if exact else (0.5 * MARGIN_TOL, 1.5 * MARGIN_TOL)
+        for within, d in zip((True, False), misses):
+            for seed, psd in _seeds_around_the_rule(r, one, d, within):
+                tol = 0 if exact else MARGIN_TOL * max(abs(t) for t in seed)
+                assert README_ROWS[case](seed, tol) == psd, seed
+                verdict = classify(CirculantSpec(m, n, r, tuple(seed)), rel_tol=MARGIN_TOL)
+                assert verdict.case == case
+                assert verdict.status == (Status.PSD if psd else Status.NOT_PSD), seed
 
 
 class TestSerialization:

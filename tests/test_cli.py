@@ -172,6 +172,17 @@ class TestClassifyCommand:
         )
         assert main(["classify", doc]) == 0
 
+    def test_zero_tolerance_field_matches_flag(self, tmp_path, capsys):
+        seed = {"m": 4, "n": 4, "r": 2, "seed": [1.0, 0.5]}
+        field = write_doc(tmp_path, "field.json", {**seed, "tolerance": 0})
+        flag = write_doc(tmp_path, "flag.json", seed)
+        for extra in ([], ["--json"]):
+            assert main(["classify", field, *extra]) == 0
+            from_field = capsys.readouterr().out
+            assert main(["classify", flag, "--tolerance", "0", *extra]) == 0
+            assert capsys.readouterr().out == from_field
+        assert json.loads(from_field)["tolerance"] == 0.0
+
     def test_odd_order_is_input_error(self, tmp_path, capsys):
         doc = write_doc(tmp_path, "odd.json", {"m": 3, "n": 3, "r": 1, "seed": [1]})
         assert main(["classify", doc]) == 2
@@ -201,6 +212,9 @@ class TestNonFiniteInput:
             '{"m": 8, "n": 4, "r": 4, "seed": [NaN, 1, 1, 1]}',
             '{"m": 4, "n": 4, "r": 2, "seed": [Infinity, 1]}',
             '{"m": 2, "n": 2, "genvec": [1, -Infinity, 1]}',
+            # exact, but too large for float64
+            pytest.param('{"m": 4, "n": 4, "r": 2, "seed": [1%s, 1]}' % ("0" * 400), id="seed-1e400"),
+            pytest.param('{"m": 2, "n": 2, "genvec": [1%s, 0, 1]}' % ("0" * 400), id="genvec-1e400"),
         ],
     )
     def test_is_an_input_error(self, tmp_path, capsys, payload):
@@ -256,12 +270,14 @@ class TestDocumentErrors:
         assert main(["classify", doc]) == 2
 
     def test_bad_tolerance_rejected(self, tmp_path, capsys):
-        doc = write_doc(
-            tmp_path,
-            "tol.json",
-            {"m": 4, "n": 3, "r": 1, "seed": [1], "tolerance": -1},
-        )
-        assert main(["classify", doc]) == 2
+        for tolerance in (-1, True, "x", 10**400):
+            doc = write_doc(
+                tmp_path,
+                "tol.json",
+                {"m": 4, "n": 3, "r": 1, "seed": [1], "tolerance": tolerance},
+            )
+            assert main(["classify", doc]) == 2
+            assert "tolerance" in capsys.readouterr().err
 
     def test_nan_tolerance_field_rejected(self, tmp_path, capsys):
         doc = write_doc(

@@ -1,6 +1,5 @@
-"""Tests for generating vectors, circulant expansion, Hankel views, witnesses."""
+"""Tests for generating vectors, circulant expansion, Hankel entries, witnesses."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +9,17 @@ from hypothesis import given, strategies as st
 from anticirculant.tensor import (
     CirculantSpec,
     GeneratingVector,
-    HankelTensor,
     WitnessVector,
     alpha_template,
+    alpha_witnesses,
     candidate_witnesses,
+    differences,
     entry,
     expand,
     genvec_length,
     hankel_matrix,
     pattern_vector,
-    witnesses,
+    pattern_witnesses,
 )
 
 
@@ -54,8 +54,11 @@ class TestGeneratingVector:
         with pytest.raises(ValueError, match="finite"):
             GeneratingVector(2, 2, (1.0, bad, 1.0))
 
-    def test_huge_exact_entries_are_finite(self):
-        GeneratingVector(2, 2, (10**400, Fraction(10**400, 3), 1))
+    def test_exact_entries_must_fit_float64(self):
+        GeneratingVector(2, 2, (10**300, Fraction(10**400, 10**100), 1))
+        for huge in (10**400, Fraction(10**400, 3)):
+            with pytest.raises(ValueError, match="too large for float64"):
+                GeneratingVector(2, 2, (huge, 0, 1))
 
 
 class TestCirculantSpec:
@@ -89,6 +92,10 @@ class TestCirculantSpec:
     def test_rejects_non_finite_seed(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CirculantSpec(4, 4, 2, (bad, 1))
+
+    def test_rejects_seed_beyond_float64(self):
+        with pytest.raises(ValueError, match="too large for float64"):
+            CirculantSpec(4, 4, 2, (10**400, 1))
 
     @given(
         m=st.integers(2, 8),
@@ -154,23 +161,6 @@ class TestHankelEntries:
         with pytest.raises(ValueError):
             entry(gen, (1, 3))
 
-    def test_materialize_matches_entry(self):
-        gen = expand(CirculantSpec(3, 3, 3, (1, 2, 3)))
-        dense = HankelTensor(gen).materialize()
-        for idx in itertools.product(range(1, 4), repeat=3):
-            assert dense[tuple(i - 1 for i in idx)] == entry(gen, idx)
-
-    def test_materialize_cap(self):
-        gen = expand(CirculantSpec(4, 3, 1, (1,)))
-        with pytest.raises(ValueError, match="cap"):
-            HankelTensor(gen).materialize(cap=80)
-
-    def test_materialize_read_only(self):
-        gen = expand(CirculantSpec(2, 2, 1, (1,)))
-        dense = HankelTensor(gen).materialize()
-        with pytest.raises(ValueError):
-            dense[0, 0] = 5.0
-
 
 class TestHankelMatrix:
     def test_two_by_two(self):
@@ -221,21 +211,25 @@ class TestHankelMatrix:
 
 class TestWitnesses:
     def test_unit_difference_n3(self):
-        got = [w.x for w in witnesses(3, "unit-difference")]
-        assert got == [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
+        got = differences(3, 1)
+        assert [w.x for w in got] == [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
+        assert got[2].label == "unit-difference(q=3)"
 
     def test_step2_difference_n4(self):
-        got = [w.x for w in witnesses(4, "step-2-difference")]
-        assert got == [(1, 0, -1, 0), (0, 1, 0, -1), (-1, 0, 1, 0), (0, -1, 0, 1)]
+        got = differences(4, 2)
+        assert [w.x for w in got] == [(1, 0, -1, 0), (0, 1, 0, -1), (-1, 0, 1, 0), (0, -1, 0, 1)]
+        assert got[0].label == "step-2-difference(q=1)"
 
     def test_step2_needs_three_coordinates(self):
         with pytest.raises(ValueError, match="n >= 3"):
-            witnesses(2, "step-2-difference")
+            differences(2, 2)
 
     def test_pattern_family(self):
-        got = witnesses(4, "pattern:1,-1,-1,1")
+        # patterns that do not fit the dimension are skipped
+        got = pattern_witnesses(4, ((1, -1, -1, 1), (1, 0, 0, 0, -1)))
         assert len(got) == 1
         assert got[0].x == (1, -1, -1, 1)
+        assert got[0].label == "pattern(1, -1, -1, 1)"
 
     def test_pattern_needs_room(self):
         with pytest.raises(ValueError):
@@ -247,14 +241,14 @@ class TestWitnesses:
         assert pattern_vector((1, -1), 5) == (1, -1, 0, 0, 0)
 
     def test_alpha_family_values(self):
-        got = {w.label: w.x for w in witnesses(3, "alpha", alpha=2.0)}
+        got = {w.label: w.x for w in alpha_witnesses(3, "alpha", 2.0)}
         # q=1 wraps e_0 to e_3: x = e_1 + alpha*e_3 - alpha*e_2
         assert got["alpha(q=1, alpha=2.0)"] == (1, -2.0, 2.0)
         assert got["alpha(q=2, alpha=2.0)"] == (2.0, 1, -2.0)
 
     def test_alpha_neg_flips_center(self):
-        plus = witnesses(3, "alpha", alpha=4.0)[1].x
-        minus = witnesses(3, "alpha-neg", alpha=4.0)[1].x
+        plus = alpha_witnesses(3, "alpha", 4.0)[1].x
+        minus = alpha_witnesses(3, "alpha-neg", 4.0)[1].x
         assert plus == (4.0, 1, -4.0)
         assert minus == (4.0, -1, -4.0)
 
@@ -262,18 +256,16 @@ class TestWitnesses:
         for family in ("alpha", "alpha-neg"):
             for q in range(1, 5):
                 coords = alpha_template(family, q, 4)
-                concrete = witnesses(4, family, alpha=3.0)[q - 1].x
+                concrete = alpha_witnesses(4, family, 3.0)[q - 1].x
                 assert tuple(c0 + c1 * 3.0 for c0, c1 in coords) == concrete
 
     def test_alpha_needs_value_and_room(self):
-        with pytest.raises(ValueError, match="alpha"):
-            witnesses(3, "alpha")
         with pytest.raises(ValueError, match="n >= 3"):
             alpha_template("alpha", 1, 2)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown"):
-            witnesses(3, "mystery")
+            alpha_witnesses(3, "mystery", 2.0)
 
     def test_witness_vector_must_be_nonzero(self):
         with pytest.raises(ValueError):
