@@ -8,11 +8,26 @@ numerical sphere-minimization oracle.
 
 The package root holds the Library API of the README; everything else is
 reached through its module (``anticirculant.polyeval``, ``.combinatorics``, ...).
+``matrix_psd`` and ``sphere_min`` resolve on first access, so that importing
+the package does not import numpy.
 """
 
 from .classifier import Status, Verdict, classify, strong_hankel_check, verify_power_sum
-from .oracle import matrix_psd, sphere_min
 from .polyeval import eval_fast
 from .tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 __version__ = "0.1.0"
+
+_FROM_ORACLE = ("matrix_psd", "sphere_min")
+
+
+def __getattr__(name: str):
+    if name in _FROM_ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_FROM_ORACLE))

@@ -24,6 +24,13 @@ Comma-separated number lists (vectors, patterns, sequences) accept ``-1``,
 ``(-1)``, and the typographic minus sign; fractions like ``2/3`` are kept
 exact where exactness matters.  Results go to standard output, diagnostics
 to standard error; RNG seeds default to 0 and are always printed.
+
+numpy is imported only by the commands that do numeric work: ``oracle``,
+``hankelmatrix``, ``certify`` (its sampled diagnostic), and a ``classify``
+that runs the sphere search: an Uncovered verdict, or a NotPSD one that no
+witness family refutes.  A covered ``classify``, with or without
+``--verify``, and ``eval``, ``sums``, ``signfacts`` and ``theorem1`` run in
+pure Python.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import classifier, combinatorics, oracle, polyeval, tensor
+from . import classifier, combinatorics, polyeval, tensor
 
 _MINUS_SIGN = "−"
 
@@ -390,6 +397,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     subject, _ = load_spec_document(args.spec)
     gen = _gen_of(subject)
     try:
@@ -434,6 +443,8 @@ def cmd_theorem1(args) -> int:
 
 
 def cmd_hankelmatrix(args) -> int:
+    from . import oracle
+
     subject, _ = load_spec_document(args.spec)
     gen = _gen_of(subject)
     try:

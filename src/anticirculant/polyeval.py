@@ -16,15 +16,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 
-from .tensor import (
-    DENSE_CAP_DEFAULT,
-    CirculantSpec,
-    GeneratingVector,
-    alpha_template,
-    expand,
-)
+from .tensor import DENSE_CAP_DEFAULT, CirculantSpec, GeneratingVector
 
 
 def convolve(a, b) -> list:
@@ -116,64 +109,3 @@ def residue_components(spec: CirculantSpec, x) -> tuple:
     for s, coeff in enumerate(profile):
         parts[(s + m) % r] += coeff
     return tuple(parts)
-
-
-def _to_fraction(value):
-    """Exact Fraction for ints, Fractions, and floats with small exact ratios."""
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        frac = Fraction(value)
-        if frac.numerator.bit_length() <= 63 and frac.denominator.bit_length() <= 63:
-            return frac
-    return None
-
-
-def alpha_coefficients(spec: CirculantSpec, family: str, q: int) -> tuple:
-    """Coefficients of f along an alpha-parameterized witness, lowest power first.
-
-    The witness coordinates are degree-1 polynomials in alpha, so f restricted
-    to the family is a degree-m polynomial.  It is recovered by evaluating at
-    the integer nodes ``alpha = 0..m`` and solving the Vandermonde system.
-    When every seed entry is exactly representable (int, Fraction, or a float
-    whose exact ratio fits in 64-bit integers) the solve runs in Fraction
-    arithmetic and the returned coefficients are exact Fractions; otherwise
-    they are floats.
-    """
-    gen = expand(spec)
-    template = alpha_template(family, q, spec.n)
-    exact_v = [_to_fraction(t) for t in gen.v]
-    exact = all(t is not None for t in exact_v)
-    v = exact_v if exact else [float(t) for t in gen.v]
-
-    m = spec.m
-    nodes = range(m + 1)
-    values = []
-    for node in nodes:
-        x = [c0 + c1 * node for c0, c1 in template]
-        values.append(_dot(v, conv_power(x, m)))
-
-    if exact:
-        return _solve_vandermonde_exact(list(nodes), values)
-    import numpy as np
-
-    vand = np.vander(np.asarray(nodes, dtype=float), increasing=True)
-    return tuple(np.linalg.solve(vand, np.asarray(values, dtype=float)))
-
-
-def _solve_vandermonde_exact(nodes, values) -> tuple:
-    size = len(nodes)
-    rows = [[Fraction(node) ** p for p in range(size)] + [Fraction(values[i])]
-            for i, node in enumerate(nodes)]
-    for col in range(size):
-        pivot = next(i for i in range(col, size) if rows[i][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        lead = rows[col][col]
-        rows[col] = [t / lead for t in rows[col]]
-        for i in range(size):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return tuple(rows[i][size] for i in range(size))

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest number of index tuples brute-force evaluation may visit.
 DENSE_CAP_DEFAULT = 1_000_000
@@ -43,8 +45,10 @@ NAMED_PATTERNS: tuple[tuple[int, ...], ...] = (
 
 def _require_finite(values, what: str) -> None:
     # floats can carry NaN or inf; an int or Fraction is finite but must still
-    # fit in float64, since the numerical layers and the certificate use floats
-    for t in values:
+    # fit in float64, since the numerical layers and the certificate use floats.
+    # An expanded seed repeats r objects over L entries: each object is checked
+    # once, in order of first appearance.
+    for t in {id(t): t for t in values}.values():
         try:
             finite = math.isfinite(t)
         except OverflowError:
@@ -130,7 +134,7 @@ def expand(spec: CirculantSpec) -> GeneratingVector:
     seed=(1,2,3)) gives (1,2,3,1,2,3,1,2,3).
     """
     length = genvec_length(spec.m, spec.n)
-    v = tuple(spec.seed[i % spec.r] for i in range(length))
+    v = (spec.seed * -(-length // spec.r))[:length]
     return GeneratingVector(spec.m, spec.n, v)
 
 
@@ -158,6 +162,8 @@ class HankelMatrix:
     def __eq__(self, other):
         if not isinstance(other, HankelMatrix):
             return NotImplemented
+        import numpy as np
+
         return self.gen == other.gen and np.array_equal(self.a, other.a)
 
 
@@ -169,6 +175,8 @@ def hankel_matrix(gen: GeneratingVector) -> HankelMatrix:
     """
     if gen.m % 2 != 0:
         raise ValueError(f"associated Hankel matrix needs even order, got m={gen.m}")
+    import numpy as np
+
     k = gen.m // 2
     size = gen.n * k - k + 1
     idx = np.arange(size)

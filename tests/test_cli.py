@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line surface: formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import anticirculant
 from anticirculant.cli import main, parse_int_list, parse_number_list
 
 
@@ -187,6 +192,86 @@ class TestClassifyCommand:
         doc = write_doc(tmp_path, "odd.json", {"m": 3, "n": 3, "r": 1, "seed": [1]})
         assert main(["classify", doc]) == 2
         assert "odd order" in capsys.readouterr().err
+
+    def test_matrix_case_witness_below_the_families(self, tmp_path, capsys):
+        # even-gcd-2 at m = 2: the seed misses the rule by about 2e-12, which no
+        # witness family or sphere start resolves; the Hankel eigenvector does
+        seed = [0.6372000159352453, -0.03720001593424534,
+                0.6372000159352453, -0.03720001593224533]
+        doc = write_doc(tmp_path, "m2.json", {"m": 2, "n": 5, "r": 4, "seed": seed})
+        assert main(["classify", doc, "--verify", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "NotPSD"
+        assert payload["witness_label"] == "hankel-eigenvector"
+        assert -1e-11 < payload["witness_value"] < 0
+        assert "clears zero but not the verification margin" in payload["notes"][0]
+        assert payload["verified"] is True
+
+
+#: Runs each argv of a JSON list through ``python -m anticirculant.cli``'s code
+#: in one fresh process; prints [exit code, stdout, numpy imported] per argv.
+_COLD_CLI = """
+import contextlib, io, json, runpy, sys
+out = []
+for argv in json.loads(sys.argv[1]):
+    sys.argv, buf, code = ["anticirculant", *argv], io.StringIO(), 0
+    with contextlib.redirect_stdout(buf):
+        try:
+            runpy.run_module("anticirculant.cli", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    out.append([code, buf.getvalue(), "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def _cold(code: str, *args: str) -> str:
+    src = str(Path(anticirculant.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
+class TestNumpyLoadsOnDemand:
+    def test_package_import_skips_numpy(self):
+        assert _cold("import anticirculant, sys; print('numpy' in sys.modules)") == "False\n"
+
+    def test_covered_verdicts_skip_numpy(self, psd_doc, notpsd_doc):
+        argvs = [["classify", doc, "--verify", "--json"] for doc in (psd_doc, notpsd_doc)]
+        (psd_code, psd_out, _), (neg_code, neg_out, numpy_loaded) = json.loads(
+            _cold(_COLD_CLI, json.dumps(argvs))
+        )
+        assert (psd_code, neg_code) == (0, 1)
+        assert json.loads(psd_out)["verified"] is True
+        assert json.loads(neg_out)["verified"] is True
+        assert numpy_loaded is False
+
+    def test_oracle_names_resolve_on_the_package_root(self):
+        from anticirculant import oracle
+
+        assert anticirculant.sphere_min is oracle.sphere_min
+        assert anticirculant.matrix_psd is oracle.matrix_psd
+        with pytest.raises(AttributeError):
+            anticirculant.no_such_name  # noqa: B018
+
+    def test_numeric_commands_match_in_process_runs(self, psd_doc, uncovered_doc, capsys):
+        argvs = [
+            ["classify", uncovered_doc, "--starts", "8"],
+            ["oracle", uncovered_doc, "--starts", "8", "--json"],
+            ["hankelmatrix", psd_doc],
+            ["certify", psd_doc, "--points", "50", "--json"],
+        ]
+        cold = json.loads(_cold(_COLD_CLI, json.dumps(argvs)))
+        warm = []
+        for argv in argvs:
+            code = main(argv)
+            warm.append([code, capsys.readouterr().out])
+        assert [row[:2] for row in cold] == warm
+        assert [row[0] for row in cold] == [4, 0, 0, 0]
+        assert cold[0][2] is True
 
 
 class TestInternalError:

@@ -23,9 +23,11 @@ def test_readme_library_block_runs_on_the_package_root():
         if isinstance(node, ast.ImportFrom) and node.module == "anticirculant"
         for alias in node.names
     }
+    # dir() also lists the names the package resolves on first access
     public = {
-        name for name, value in vars(anticirculant).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(anticirculant)
+        if not name.startswith("_")
+        and not isinstance(getattr(anticirculant, name), types.ModuleType)
     }
     assert public == names | {"Status", "Verdict"}
 
