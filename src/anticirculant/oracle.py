@@ -7,16 +7,24 @@ nonnegative, so a negative evaluation is a hard refutation while a
 nonnegative estimate is merely evidence (the search is non-convex and never
 proves positivity; proofs come from certificates).
 
-The search works on float64 arrays with one row per point.  Each row's
-coefficient profile comes from repeated convolution with its point, n
-shifted adds per convolution; the gradient is ``m * d @ H`` (``d`` the
-order-(m-1) profile, ``H[u, i] = v[u + i]``) and the value
-``x . grad / m``, which equals ``profile . v``.  Every reduction
-stays within a row (``np.einsum``, never BLAS), so a row's numbers are
-bitwise the same whatever rows share its array.  The candidates are
-evaluated together, then all descents advance in lockstep, each row with
-its own step size, line search and stopping rules.  The reported
-``min_value`` is the scalar ``polyeval.eval_fast`` at ``argmin``.
+The search works on float64 arrays with one row per point, through a
+roots-of-unity kernel.  Let ``p(z) = x_1 + x_2 z + ... + x_n z**(n-1)``, so
+that f sums ``v[s]`` times the coefficient of ``z**s`` in ``p**m``.  If v
+repeats with period r, that sum only needs the residue-class sums of the
+coefficients mod r, which the r-th roots of unity ``omega**k`` pick out:
+``f(x) = Re sum_k c_k p(omega**k)**m`` with ``c = fft(v[:r]) / r``.  As
+``p**m`` has degree ``L - 1 < L``, nothing aliases, so this is exact for any
+period, ``r = L`` included.  r is the smallest period of v, found by
+comparing v with its own shifts: a spec's vector repeats with its index r or
+a divisor of it, and a vector with no shorter period takes ``r = L``.  With
+``W[i, k] = omega**(i k mod r)`` and ``P = x @ W``, the gradient is ``m *
+Re((c * P**(m-1)) @ W^T)`` and the value ``x . grad / m`` (Euler's identity
+for a degree-m form).  Every reduction stays within a row (``np.einsum``,
+never BLAS), so a row's numbers are bitwise the same whatever rows share its
+array.  The candidates are evaluated together, then all descents advance in
+lockstep, each row with its own step size, line search and stopping rules.
+The reported ``min_value`` is the scalar ``polyeval.eval_fast`` at
+``argmin``.
 
 ``matrix_psd`` decides matrix positive semidefiniteness with a hand-rolled
 cyclic Jacobi eigenvalue iteration, deliberately independent of any library
@@ -41,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import GeneratingVector, candidate_witnesses
 # value_and_gradient is not called here; bench/spans.py traces it under this name.
@@ -66,9 +73,6 @@ COARSE_TOL = 1e-9
 COARSE_WINDOW = 30
 #: Upper bound on the adaptive step size (the line search halves from here).
 ETA_MAX = 1e12
-#: Rows evaluated as one array; bounds the (rows, n, width) convolution
-#: temporaries.  Rows never interact, so the blocking does not change results.
-BLOCK_ROWS = 128
 
 
 class SplitMix64:
@@ -114,47 +118,42 @@ class SphereMinResult:
         }
 
 
-def _convolve_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise convolution of ``(B, w)`` with ``(B, n)``: n shifted adds.
+def _period(a: np.ndarray) -> int:
+    """Smallest r >= 1 with ``a[s] == a[s + r]`` for all s; ``len(a)`` if none is shorter."""
+    for r in range(1, len(a)):
+        if np.array_equal(a[r:], a[:-r]):
+            return r
+    return len(a)
 
-    Product j, ``x[:, j] * a``, is zero-padded to one more than the output
-    length, so reading the products at the output length shifts product j
-    by j; the sum over j adds them in order, as a loop of slice-adds would.
+
+def _spectrum(gen: GeneratingVector):
+    """``(c, W)`` for the roots-of-unity kernel of ``gen``'s float64 vector.
+
+    With r the period of v, ``c = fft(v[:r]) / r`` and
+    ``W[i, k] = omega**(i * k mod r)``, ``omega = exp(2 pi i / r)``.
     """
-    rows, width = a.shape
-    n = x.shape[1]
-    length = width + n - 1
-    padded = np.zeros((rows, n, length + 1))
-    np.multiply(x[:, :, None], a[:, None, :], out=padded[:, :, :width])
-    return padded.reshape(rows, -1)[:, : n * length].reshape(rows, n, length).sum(axis=1)
+    a = np.array(gen.v, dtype=float)
+    r = _period(a)
+    ik = np.arange(gen.n)[:, None] * np.arange(r) % r
+    return np.fft.fft(a[:r]) / r, np.exp(2j * np.pi / r * ik)
 
 
-def _profiles(x: np.ndarray, k: int) -> np.ndarray:
-    """Order-k coefficient profile of every row of x (``conv_power`` per row)."""
-    out = x
-    for _ in range(k - 1):
-        out = _convolve_rows(out, x)
-    return out
+def _values_and_gradients(x: np.ndarray, spectrum, m: int):
+    """f and its gradient for every row of x.
 
-
-def _values_and_gradients(x: np.ndarray, hankel: np.ndarray, m: int):
-    """f and its gradient for every row of x; ``hankel[u, i] = v[u + i]``.
-
-    With ``d`` the order-(m-1) profile, ``grad = m * d @ H`` and, by Euler's
-    identity for a degree-m form, ``f = x . grad / m``.
+    With ``P = x @ W`` the values of the point's polynomial at the r-th roots
+    of unity, ``grad = m * Re((c * P**(m-1)) @ W^T)`` and, by Euler's identity
+    for a degree-m form, ``f = x . grad / m``.
     """
-    g = np.einsum("bu,ui->bi", _profiles(x, m - 1), hankel)
+    c, w = spectrum
+    p = np.einsum("bi,ik->bk", x, w)
+    g = np.einsum("bk,ik->bi", c * p ** (m - 1), w).real
     return np.einsum("bi,bi->b", x, g), m * g
-
-
-def _blocks(a: np.ndarray) -> list:
-    return np.split(a, range(BLOCK_ROWS, len(a), BLOCK_ROWS))
 
 
 def eval_rows(gen: GeneratingVector, x: np.ndarray) -> np.ndarray:
     """f at every row of the float array ``x`` (``points x n``)."""
-    hankel = sliding_window_view(np.array(gen.v, dtype=float), gen.n)
-    return np.concatenate([_values_and_gradients(b, hankel, gen.m)[0] for b in _blocks(x)])
+    return _values_and_gradients(x, _spectrum(gen), gen.m)[0]
 
 
 def _candidates(n: int) -> np.ndarray:
@@ -168,7 +167,7 @@ def _candidates(n: int) -> np.ndarray:
     return points / np.sqrt(np.einsum("bi,bi->b", points, points))[:, None]
 
 
-def _descend_rows(hankel: np.ndarray, m: int, x: np.ndarray):
+def _descend_rows(spectrum, m: int, x: np.ndarray):
     """Projected gradient descent from every row of x, in lockstep.
 
     Returns per-row ``(f, x, converged)`` arrays.  A row stops when no step
@@ -181,7 +180,7 @@ def _descend_rows(hankel: np.ndarray, m: int, x: np.ndarray):
     x_out = np.empty_like(x)
     converged = np.ones(len(x), dtype=bool)
     live = np.arange(len(x))
-    f, grad = _values_and_gradients(x, hankel, m)
+    f, grad = _values_and_gradients(x, spectrum, m)
     eta = np.full(len(x), ETA0)
     checkpoint = f.copy()
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -195,7 +194,7 @@ def _descend_rows(hankel: np.ndarray, m: int, x: np.ndarray):
             yp = x[pending] - trial[pending, None] * grad[pending]
             norm = np.sqrt(np.einsum("bi,bi->b", yp, yp))
             yp /= norm[:, None]
-            fp, gp = _values_and_gradients(yp, hankel, m)
+            fp, gp = _values_and_gradients(yp, spectrum, m)
             hit = (norm != 0.0) & np.isfinite(norm) & (fp < f[pending])
             rows = pending[hit]
             fy[rows], y[rows], gy[rows], eta[rows] = fp[hit], yp[hit], gp[hit], trial[rows]
@@ -237,12 +236,12 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
     rng = SplitMix64(rng_seed)
     starts_x = np.array([rng.unit_vector(n) for _ in range(starts)])
     candidates = _candidates(n)
-    hankel = sliding_window_view(np.array(gen.v, dtype=float), n)
+    spectrum = _spectrum(gen)
     with np.errstate(all="ignore"):
-        candidate_f = eval_rows(gen, candidates)
-        runs = [_descend_rows(hankel, m, x0) for x0 in _blocks(starts_x)]
-    values = np.concatenate([candidate_f] + [f for f, _, _ in runs])
-    points = np.concatenate([candidates] + [x for _, x, _ in runs])
+        candidate_f = _values_and_gradients(candidates, spectrum, m)[0]
+        run_f, run_x, converged = _descend_rows(spectrum, m, starts_x)
+    values = np.concatenate([candidate_f, run_f])
+    points = np.concatenate([candidates, run_x])
     values[np.isnan(values)] = math.inf  # as with `<`, NaN never becomes the best
     best = int(np.argmin(values))  # earliest of equal minima
     argmin = tuple(points[best].tolist()) if values[best] < math.inf else None
@@ -250,7 +249,7 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
         min_value=math.inf if argmin is None else eval_fast(gen, argmin),
         argmin=argmin,
         starts=starts,
-        converged_starts=sum(int(ok.sum()) for _, _, ok in runs),
+        converged_starts=int(converged.sum()),
         rng_seed=rng_seed,
     )
 

@@ -7,9 +7,11 @@ For a generating vector ``v`` the polynomial is
 
 Grouping by the index sum turns this into a dot product: the coefficient of
 ``v[s]`` is the coefficient of ``z**s`` in ``(x_1 + x_2 z + ... + x_n z**(n-1))**m``.
-That power is computed by repeated direct convolution, never FFT: sizes here
-are tiny, convolution is exact on int/Fraction inputs, and the same profile
-also yields gradients and residue splits.
+On this exact scalar path that power is computed by repeated direct
+convolution, never FFT: convolution is exact on int/Fraction inputs, and the
+same profile also yields gradients and residue splits.  The float batch
+kernel of the sphere search (``oracle``) evaluates the same sum at roots of
+unity instead.
 """
 
 from __future__ import annotations

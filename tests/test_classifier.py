@@ -375,6 +375,12 @@ class TestUncoveredAndNotes:
         assert verdict.evidence.min_value >= -1e-6
         assert any("not a certificate" in note for note in verdict.notes)
 
+    def test_high_order_evidence_stays_at_rounding_level(self):
+        # (x_1 + ... + x_12)^60 >= 0; f reaches 12^30 ~ 2.4e32 on the sphere
+        verdict = classify(CirculantSpec(60, 12, 3, (1, 1, 1)))
+        assert verdict.status == Status.UNCOVERED
+        assert verdict.evidence.min_value >= -1e-6
+
     def test_uncovered_with_failing_necessary_condition(self):
         verdict = classify(CirculantSpec(10, 5, 5, (-1, 1, 1, 1, 1)))
         assert verdict.status == Status.NOT_PSD

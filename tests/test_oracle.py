@@ -108,10 +108,10 @@ class TestSphereMin:
         # with the cap at 30 iterations only some of these descents stop in time
         monkeypatch.setattr(oracle, "MAX_ITERATIONS", 30)
         gen = expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)))
-        hankel = sliding_window_view(np.array(gen.v, dtype=float), gen.n)
+        spectrum = oracle._spectrum(gen)
         x0 = _starts(gen.n, 16)
         alone = sum(
-            bool(oracle._descend_rows(hankel, gen.m, x0[i : i + 1])[2][0]) for i in range(16)
+            bool(oracle._descend_rows(spectrum, gen.m, x0[i : i + 1])[2][0]) for i in range(16)
         )
         result = sphere_min(gen, starts=16)
         assert 0 < result.converged_starts < 16
@@ -125,27 +125,67 @@ class TestSphereMin:
         assert payload["rng_seed"] == 0
 
 
+def _random_gen(seed, period=None):
+    """A random vector (repeating with ``period`` if given) and five random points."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 11)), int(rng.integers(2, 9))
+    length = (n - 1) * m + 1
+    v = rng.uniform(-2.0, 2.0, period or length)
+    v = np.resize(v, length)
+    return GeneratingVector(m, n, tuple(v.tolist())), rng.uniform(-1.0, 1.0, (5, n))
+
+
+def _scales(gen, row):
+    """Rounding scales of f and its gradient: the same sums taken over |x| and |v|."""
+    v = np.abs(np.array(gen.v))
+    p_abs = np.array(conv_power([abs(t) for t in row], gen.m))
+    d_abs = np.array(conv_power([abs(t) for t in row], gen.m - 1))
+    return float(v @ p_abs), gen.m * sliding_window_view(v, gen.n).T @ d_abs
+
+
 class TestBatchedKernels:
     @pytest.mark.parametrize("trial", range(40))
     def test_agree_with_scalar_polyeval(self, trial):
-        rng = np.random.default_rng(trial)
-        m, n = int(rng.integers(2, 11)), int(rng.integers(2, 9))
-        v = rng.uniform(-2.0, 2.0, (n - 1) * m + 1)
-        gen = GeneratingVector(m, n, tuple(v.tolist()))
-        x = rng.uniform(-1.0, 1.0, (5, n))
-        hankel = sliding_window_view(v, n)
-        profiles = oracle._profiles(x, m)
-        values, grads = oracle._values_and_gradients(x, hankel, m)
-        for row, p, f, g in zip(x.tolist(), profiles, values, grads):
-            # bounds on the rounding error: the same sums taken over |x| and |v|
-            p_abs = np.array(conv_power([abs(t) for t in row], m))
-            d_abs = np.array(conv_power([abs(t) for t in row], m - 1))
-            assert np.all(np.abs(p - conv_power(row, m)) <= 1e-12 * p_abs)
+        gen, x = _random_gen(trial)
+        values, grads = oracle._values_and_gradients(x, oracle._spectrum(gen), gen.m)
+        for row, f, g in zip(x.tolist(), values, grads):
+            f_scale, g_scale = _scales(gen, row)
             f_ref, g_ref = value_and_gradient(gen, row)
-            assert abs(f - eval_fast(gen, row)) <= 1e-12 * float(np.abs(v) @ p_abs)
-            assert abs(f - f_ref) <= 1e-12 * float(np.abs(v) @ p_abs)
-            g_scale = m * np.abs(hankel).T @ d_abs
+            assert abs(f - eval_fast(gen, row)) <= 1e-12 * f_scale
+            assert abs(f - f_ref) <= 1e-12 * f_scale
             assert np.all(np.abs(g - np.array(g_ref)) <= 1e-12 * g_scale)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_gradient_satisfies_euler_identity(self, trial):
+        # x . grad f = m f for a degree-m form, with f from the scalar path
+        gen, x = _random_gen(trial, period=1 + trial % 5)
+        _, grads = oracle._values_and_gradients(x, oracle._spectrum(gen), gen.m)
+        for row, g in zip(x.tolist(), grads):
+            f_scale, _ = _scales(gen, row)
+            assert abs(float(np.dot(row, g)) - gen.m * eval_fast(gen, row)) <= 1e-12 * gen.m * f_scale
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_gradient_matches_central_differences(self, trial):
+        gen, x = _random_gen(trial, period=1 + trial % 5)
+        spectrum, h = oracle._spectrum(gen), 1e-5
+        _, grads = oracle._values_and_gradients(x, spectrum, gen.m)
+        for row, g in zip(x, grads):
+            steps = h * np.eye(gen.n)
+            fp = oracle._values_and_gradients(row + steps, spectrum, gen.m)[0]
+            fm = oracle._values_and_gradients(row - steps, spectrum, gen.m)[0]
+            _, g_scale = _scales(gen, row.tolist())
+            assert np.all(np.abs((fp - fm) / (2 * h) - g) <= 1e-6 * g_scale)
+
+    @pytest.mark.parametrize(
+        "gen, period",
+        [
+            (expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5))), 2),
+            (expand(CirculantSpec(10, 5, 5, (2, 2, 2, 2, 2))), 1),
+            (GeneratingVector(4, 5, tuple(np.random.default_rng(3).uniform(-1, 1, 17).tolist())), 17),
+        ],
+    )
+    def test_period_is_the_smallest_repeat(self, gen, period):
+        assert oracle._period(np.array(gen.v, dtype=float)) == period
 
     @pytest.mark.parametrize(
         "spec",
@@ -158,11 +198,11 @@ class TestBatchedKernels:
     )
     def test_each_start_is_independent_of_its_batch(self, spec):
         gen = expand(spec)
-        hankel = sliding_window_view(np.array(gen.v, dtype=float), gen.n)
+        spectrum = oracle._spectrum(gen)
         x0 = _starts(gen.n, 16, seed=5)
-        f, x, ok = oracle._descend_rows(hankel, gen.m, x0)
+        f, x, ok = oracle._descend_rows(spectrum, gen.m, x0)
         for i in range(16):
-            f1, x1, ok1 = oracle._descend_rows(hankel, gen.m, x0[i : i + 1])
+            f1, x1, ok1 = oracle._descend_rows(spectrum, gen.m, x0[i : i + 1])
             assert f1[0] == f[i]
             assert np.array_equal(x1[0], x[i])
             assert ok1[0] == ok[i]
