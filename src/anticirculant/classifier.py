@@ -461,14 +461,14 @@ def classify(
             if isinstance(subject, CirculantSpec)
             else "no circulant index declared; the closed-form criteria do not apply"
         )
+        notes += (f"{outside}; attached sphere-search minimum is evidence, not a certificate",)
+        if evidence.argmin is None:
+            notes += (
+                "the sphere search found no point with a finite float64 value, "
+                "so the evidence has no argmin",
+            )
         return Verdict(
-            status=Status.UNCOVERED,
-            case=None,
-            tolerance=rel_tol,
-            evidence=evidence,
-            notes=notes + (
-                f"{outside}; attached sphere-search minimum is evidence, not a certificate",
-            ),
+            status=Status.UNCOVERED, case=None, tolerance=rel_tol, evidence=evidence, notes=notes
         )
 
     if _psd_conditions(subject.seed, tol):

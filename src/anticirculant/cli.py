@@ -174,7 +174,7 @@ def _fmt(value) -> str:
 
 
 def _fmt_vec(values) -> str:
-    return ", ".join(_fmt(t) for t in values)
+    return "none" if values is None else ", ".join(_fmt(t) for t in values)
 
 
 STATUS_EXIT = {

@@ -23,8 +23,13 @@ for a degree-m form).  Every reduction stays within a row (``np.einsum``,
 never BLAS), so a row's numbers are bitwise the same whatever rows share its
 array.  The candidates are evaluated together, then all descents advance in
 lockstep, each row with its own step size, line search and stopping rules.
-The reported ``min_value`` is the scalar ``polyeval.eval_fast`` at
-``argmin``.
+Each iteration makes the first line-search trial on every live row at once;
+only the rows it fails enter the halving loop, which retries them alone.
+The live arrays are compacted only in iterations where some row stops.  The
+candidate rows (a function of n) and the start matrix (a function of n,
+starts and rng_seed) are built once per process and kept read-only.  The
+reported ``min_value`` is the scalar ``polyeval.eval_fast`` at ``argmin``;
+if no point has a finite float64 value, there is no argmin.
 
 ``matrix_psd`` decides matrix positive semidefiniteness with a hand-rolled
 cyclic Jacobi eigenvalue iteration, deliberately independent of any library
@@ -45,6 +50,7 @@ Unit-vector starts draw each coordinate uniformly from [-1, 1) (output /
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,7 +109,7 @@ class SplitMix64:
 @dataclass(frozen=True)
 class SphereMinResult:
     min_value: float
-    argmin: tuple
+    argmin: tuple | None
     starts: int
     converged_starts: int
     rng_seed: int
@@ -111,7 +117,7 @@ class SphereMinResult:
     def to_dict(self) -> dict:
         return {
             "min_value": self.min_value,
-            "argmin": list(self.argmin),
+            "argmin": None if self.argmin is None else list(self.argmin),
             "starts": self.starts,
             "converged_starts": self.converged_starts,
             "rng_seed": self.rng_seed,
@@ -156,15 +162,39 @@ def eval_rows(gen: GeneratingVector, x: np.ndarray) -> np.ndarray:
     return _values_and_gradients(x, _spectrum(gen), gen.m)[0]
 
 
+@functools.lru_cache(maxsize=16)
 def _candidates(n: int) -> np.ndarray:
     """Unit rows: every witness-family member, then (n <= 6) every nonzero
-    sign pattern in {0, 1, -1}^n in ``itertools.product`` order."""
+    sign pattern in {0, 1, -1}^n in ``itertools.product`` order.  Built once
+    per n and read-only."""
     points = np.array([w.x for w in candidate_witnesses(n)], dtype=float)
     if n <= 6:
         codes = np.arange(1, 3**n)  # code 0 is the zero pattern
         digits = codes[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
         points = np.concatenate([points, np.array([0.0, 1.0, -1.0])[digits]])
-    return points / np.sqrt(np.einsum("bi,bi->b", points, points))[:, None]
+    points /= np.sqrt(np.einsum("bi,bi->b", points, points))[:, None]
+    points.setflags(write=False)
+    return points
+
+
+@functools.lru_cache(maxsize=32)
+def _start_matrix(n: int, starts: int, rng_seed: int) -> np.ndarray:
+    """The ``starts`` SplitMix64 unit vectors of ``rng_seed``, one per row;
+    built once per ``(n, starts, rng_seed)`` and read-only."""
+    rng = SplitMix64(rng_seed)
+    x = np.array([rng.unit_vector(n) for _ in range(starts)])
+    x.setflags(write=False)
+    return x
+
+
+def _step(spectrum, m: int, x, f, grad, eta):
+    """``(y, f(y), grad f(y), hit)`` for the normalized points
+    ``y = x - eta * grad``; ``hit`` marks the rows where y decreases f."""
+    y = x - eta[:, None] * grad
+    norm = np.sqrt(np.einsum("bi,bi->b", y, y))
+    y /= norm[:, None]
+    fy, gy = _values_and_gradients(y, spectrum, m)
+    return y, fy, gy, (norm != 0.0) & np.isfinite(norm) & (fy < f)
 
 
 def _descend_rows(spectrum, m: int, x: np.ndarray):
@@ -182,39 +212,44 @@ def _descend_rows(spectrum, m: int, x: np.ndarray):
     live = np.arange(len(x))
     f, grad = _values_and_gradients(x, spectrum, m)
     eta = np.full(len(x), ETA0)
-    checkpoint = f.copy()
+    checkpoint = f
     for iteration in range(1, MAX_ITERATIONS + 1):
         # Carry each row's last successful step size forward and let it grow;
         # on degenerate minima the useful step size diverges, and resetting to
         # ETA0 every iteration would trap the descent in a power-law tail.
         trial = np.minimum(eta * 2.0, ETA_MAX)
-        fy, y, gy = f.copy(), x.copy(), grad.copy()
-        pending = np.arange(len(live))
-        for _ in range(MAX_HALVINGS + 1):
-            yp = x[pending] - trial[pending, None] * grad[pending]
-            norm = np.sqrt(np.einsum("bi,bi->b", yp, yp))
-            yp /= norm[:, None]
-            fp, gp = _values_and_gradients(yp, spectrum, m)
-            hit = (norm != 0.0) & np.isfinite(norm) & (fp < f[pending])
-            rows = pending[hit]
-            fy[rows], y[rows], gy[rows], eta[rows] = fp[hit], yp[hit], gp[hit], trial[rows]
-            pending = pending[~hit]
-            if not pending.size:
-                break
-            trial[pending] *= 0.5
+        y, fy, gy, hit = _step(spectrum, m, x, f, grad, trial)
+        eta = np.where(hit, trial, eta)
+        pending = (~hit).nonzero()[0]
+        if pending.size:
+            # Rows that missed keep their point unless a halved step hits.
+            fy[pending], y[pending], gy[pending] = f[pending], x[pending], grad[pending]
+            for _ in range(MAX_HALVINGS):
+                trial[pending] *= 0.5
+                yp, fp, gp, hit = _step(
+                    spectrum, m, x[pending], f[pending], grad[pending], trial[pending]
+                )
+                rows = pending[hit]
+                fy[rows], y[rows], gy[rows], eta[rows] = fp[hit], yp[hit], gp[hit], trial[rows]
+                pending = pending[~hit]
+                if not pending.size:
+                    break
         # Stop where f fell by less than PLATEAU_TOL.  A row that found no
         # decreasing step kept fy = f and stops here too; the negated >= also
         # stops rows whose value is NaN.
-        stop = ~(f - fy >= PLATEAU_TOL * (1.0 + np.abs(fy)))
+        scale = 1.0 + np.abs(fy)
+        stop = ~(f - fy >= PLATEAU_TOL * scale)
         if iteration % COARSE_WINDOW == 0:
-            stop |= checkpoint - fy < COARSE_WINDOW * COARSE_TOL * (1.0 + np.abs(fy))
+            stop |= checkpoint - fy < COARSE_WINDOW * COARSE_TOL * scale
             checkpoint = fy
-        f_out[live[stop]], x_out[live[stop]] = fy[stop], y[stop]
-        go = ~stop
-        live, x, f, grad = live[go], y[go], fy[go], gy[go]
-        eta, checkpoint = eta[go], checkpoint[go]
-        if not live.size:
-            break
+        x, f, grad = y, fy, gy
+        if stop.any():
+            f_out[live[stop]], x_out[live[stop]] = f[stop], x[stop]
+            go = ~stop
+            live, x, f, grad = live[go], x[go], f[go], grad[go]
+            eta, checkpoint = eta[go], checkpoint[go]
+            if not live.size:
+                break
     f_out[live], x_out[live], converged[live] = f, x, False
     return f_out, x_out, converged
 
@@ -226,20 +261,19 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
     fits the dimension, then (for n <= 6) every nonzero sign pattern in
     {-1, 0, 1}^n.  Then the descents run from RNG unit vectors.  The result
     is deterministic for fixed (gen, starts, rng_seed); ties keep the
-    earliest point in this fixed ordering.
+    earliest point in this fixed ordering.  If no point has a finite float64
+    value, ``argmin`` is None and ``min_value`` is inf.
     """
     if gen.m % 2 != 0:
         raise ValueError(f"sphere search needs even order, got m={gen.m}")
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     n, m = gen.n, gen.m
-    rng = SplitMix64(rng_seed)
-    starts_x = np.array([rng.unit_vector(n) for _ in range(starts)])
     candidates = _candidates(n)
-    spectrum = _spectrum(gen)
     with np.errstate(all="ignore"):
+        spectrum = _spectrum(gen)
         candidate_f = _values_and_gradients(candidates, spectrum, m)[0]
-        run_f, run_x, converged = _descend_rows(spectrum, m, starts_x)
+        run_f, run_x, converged = _descend_rows(spectrum, m, _start_matrix(n, starts, rng_seed))
     values = np.concatenate([candidate_f, run_f])
     points = np.concatenate([candidates, run_x])
     values[np.isnan(values)] = math.inf  # as with `<`, NaN never becomes the best

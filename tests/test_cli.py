@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -225,13 +226,19 @@ print(json.dumps(out))
 """
 
 
-def _cold(code: str, *args: str) -> str:
+def _fresh_process(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` with this package first on the path; output captured."""
     src = str(Path(anticirculant.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _cold(code: str, *args: str) -> str:
+    proc = _fresh_process("-c", code, *args)
+    proc.check_returncode()
     return proc.stdout
 
 
@@ -306,6 +313,33 @@ class TestNonFiniteInput:
         doc = write_doc(tmp_path, "bad.json", payload)
         assert main(["classify", doc]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+class TestNoFiniteValue:
+    """A generating vector whose every float64 evaluation overflows: the FFT
+    of 181 entries near 1e307 is already inf or NaN, so no candidate or start
+    has a finite value."""
+
+    @pytest.fixture
+    def overflow_doc(self, tmp_path):
+        rng = random.Random(0)
+        genvec = [1e307 * rng.uniform(0.9, 1.1) for _ in range(181)]
+        return write_doc(tmp_path, "overflow.json", {"m": 60, "n": 4, "genvec": genvec})
+
+    def test_json_is_labelled_uncovered(self, overflow_doc):
+        proc = _fresh_process("-m", "anticirculant.cli", "classify", "--json", overflow_doc)
+        assert (proc.returncode, proc.stderr) == (4, "")
+        payload = json.loads(proc.stdout)
+        assert payload["status"] == "Uncovered"
+        assert payload["evidence"]["argmin"] is None
+        assert "no point with a finite float64 value" in payload["notes"][-1]
+
+    def test_text_is_labelled_uncovered(self, overflow_doc):
+        proc = _fresh_process("-m", "anticirculant.cli", "classify", overflow_doc)
+        assert (proc.returncode, proc.stderr) == (4, "")
+        assert "status: Uncovered" in proc.stdout
+        assert "evidence_argmin: none" in proc.stdout
+        assert "no point with a finite float64 value" in proc.stdout
 
 
 class TestDocumentErrors:

@@ -117,6 +117,76 @@ class TestSphereMin:
         assert 0 < result.converged_starts < 16
         assert result.converged_starts == alone
 
+    def test_candidates_and_starts_are_built_once_and_read_only(self):
+        assert oracle._candidates(4) is oracle._candidates(4)
+        assert oracle._start_matrix(4, 8, 0) is oracle._start_matrix(4, 8, 0)
+        for cached in (oracle._candidates(4), oracle._start_matrix(4, 8, 0)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 2.0
+
+    def test_start_matrix_is_the_splitmix_stream(self):
+        assert np.array_equal(oracle._start_matrix(5, 16, 3), _starts(5, 16, seed=3))
+        assert not np.array_equal(oracle._start_matrix(5, 16, 3), oracle._start_matrix(5, 16, 4))
+        # more starts extend the same stream
+        assert np.array_equal(oracle._start_matrix(5, 24, 3)[:16], oracle._start_matrix(5, 16, 3))
+
+    def test_cache_does_not_capture_the_iteration_cap(self, monkeypatch):
+        gen = expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)))
+        assert sphere_min(gen, starts=16).converged_starts == 16  # caches warm
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 30)
+        assert sphere_min(gen, starts=16).converged_starts == 6
+
+    #: ``sphere_min(...).to_dict()`` as the lockstep loop of the
+    #: roots-of-unity kernel first produced it (numpy 2.4, x86_64).  Every
+    #: spec has rows that take halvings; the last entry caps the iterations
+    #: at 30, so that some rows stop unconverged.
+    GOLDEN = [
+        (CirculantSpec(6, 5, 6, (1.3,) * 6), 16, 0, None, {
+            "min_value": 9.43689570931383e-16,
+            "argmin": [0.7071067811865475, -0.7071067811865475, 0.0, 0.0, 0.0],
+            "starts": 16, "converged_starts": 16, "rng_seed": 0}),
+        (CirculantSpec(8, 4, 4, (1.1, 0.4, 1.1, 0.4)), 16, 7, None, {
+            "min_value": -1.249000902703301e-16,
+            "argmin": [0.7071067811865475, 0.0, -0.7071067811865475, 0.0],
+            "starts": 16, "converged_starts": 16, "rng_seed": 7}),
+        (CirculantSpec(6, 5, 6, (1.0, -1.3) * 3), 16, 0, None, {
+            "min_value": -18.74110733252027,
+            "argmin": [0.4463821362176555, 0.44845789400861696, 0.44638213621765516,
+                       0.44845789400861696, 0.4463821362176555],
+            "starts": 16, "converged_starts": 16, "rng_seed": 0}),
+        (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 16, 3, None, {
+            "min_value": -38.40000000000001,
+            "argmin": [0.4999999994800991, -0.5000000026365007, 0.5000000009468265,
+                       -0.4999999969365739],
+            "starts": 16, "converged_starts": 16, "rng_seed": 3}),
+        (CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)), 16, 0, 30, {
+            "min_value": -9.71445146547012e-17,
+            "argmin": [0.7071067811865475, 0.0, -0.7071067811865475, 0.0, 0.0, 0.0],
+            "starts": 16, "converged_starts": 6, "rng_seed": 0}),
+    ]
+
+    @pytest.mark.parametrize("spec, starts, rng_seed, cap, expected", GOLDEN)
+    def test_golden_output(self, monkeypatch, spec, starts, rng_seed, cap, expected):
+        if cap is not None:
+            monkeypatch.setattr(oracle, "MAX_ITERATIONS", cap)
+        assert sphere_min(expand(spec), starts=starts, rng_seed=rng_seed).to_dict() == expected
+
+    def test_golden_descent_values(self):
+        # the PSD specs above take their argmin from a candidate, so pin the
+        # descents' own end values too (same recording as GOLDEN)
+        gen = expand(CirculantSpec(6, 5, 6, (1.3,) * 6))
+        f, _, converged = oracle._descend_rows(oracle._spectrum(gen), gen.m, _starts(gen.n, 16))
+        assert converged.all()
+        assert f.tolist() == [
+            2.4356147705020114e-15, 2.43561476225348e-15, 2.4356147705153905e-15,
+            2.4356147694814148e-15, 2.435614770515946e-15, 2.4356147677209296e-15,
+            2.4356147705153905e-15, 2.435614770515113e-15, 2.4356147705150876e-15,
+            2.435614770514936e-15, 2.435614770515214e-15, 2.4356147705155672e-15,
+            2.4356147704402657e-15, 2.435614770514734e-15, 2.4356147705149614e-15,
+            2.435614770515113e-15,
+        ]
+
     def test_to_dict_round_trip(self):
         result = sphere_min(GeneratingVector(2, 2, (1, 1, 1)), starts=2)
         payload = result.to_dict()
