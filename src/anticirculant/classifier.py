@@ -467,6 +467,11 @@ def classify(
                 "the sphere search found no point with a finite float64 value, "
                 "so the evidence has no argmin",
             )
+        elif not math.isfinite(evidence.min_value):
+            notes += (
+                "the sphere search's value at the argmin is finite, but its float64 "
+                f"evaluation for min_value overflowed to {evidence.min_value}",
+            )
         return Verdict(
             status=Status.UNCOVERED, case=None, tolerance=rel_tol, evidence=evidence, notes=notes
         )

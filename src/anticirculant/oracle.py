@@ -23,13 +23,17 @@ for a degree-m form).  Every reduction stays within a row (``np.einsum``,
 never BLAS), so a row's numbers are bitwise the same whatever rows share its
 array.  The candidates are evaluated together, then all descents advance in
 lockstep, each row with its own step size, line search and stopping rules.
-Each iteration makes the first line-search trial on every live row at once;
-only the rows it fails enter the halving loop, which retries them alone.
+Each iteration makes the first line-search trial on every live row at once.
+The rows it fails climb a doubling ladder of halvings: blocks of 1, 2, 4,
+... halving levels, each block tried at every level in one kernel call, and
+a row takes the first level that hits, as a one-at-a-time search would.
 The live arrays are compacted only in iterations where some row stops.  The
-candidate rows (a function of n) and the start matrix (a function of n,
-starts and rng_seed) are built once per process and kept read-only.  The
-reported ``min_value`` is the scalar ``polyeval.eval_fast`` at ``argmin``;
-if no point has a finite float64 value, there is no argmin.
+candidate rows (a function of n), the start matrix (a function of n,
+starts and rng_seed) and ``W`` (a function of n and r) are built once per
+process and kept read-only.  The reported ``min_value`` is
+``polyeval.eval_fast`` at ``argmin``, bitwise, computed by the same
+convolutions on float64 arrays (``_eval_float``); if no point has a finite
+float64 value, there is no argmin.
 
 ``matrix_psd`` decides matrix positive semidefiniteness with a hand-rolled
 cyclic Jacobi eigenvalue iteration, deliberately independent of any library
@@ -57,8 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import GeneratingVector, candidate_witnesses
-# value_and_gradient is not called here; bench/spans.py traces it under this name.
-from .polyeval import eval_fast, value_and_gradient  # noqa: F401
+# eval_fast and value_and_gradient are not called here; bench/spans.py traces
+# them under these names.
+from .polyeval import _dot, eval_fast, value_and_gradient  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -135,13 +140,21 @@ def _period(a: np.ndarray) -> int:
 def _spectrum(gen: GeneratingVector):
     """``(c, W)`` for the roots-of-unity kernel of ``gen``'s float64 vector.
 
-    With r the period of v, ``c = fft(v[:r]) / r`` and
-    ``W[i, k] = omega**(i * k mod r)``, ``omega = exp(2 pi i / r)``.
+    With r the period of v, ``c = fft(v[:r]) / r`` and ``W = _roots(n, r)``.
     """
     a = np.array(gen.v, dtype=float)
     r = _period(a)
-    ik = np.arange(gen.n)[:, None] * np.arange(r) % r
-    return np.fft.fft(a[:r]) / r, np.exp(2j * np.pi / r * ik)
+    return np.fft.fft(a[:r]) / r, _roots(gen.n, r)
+
+
+@functools.lru_cache(maxsize=16)
+def _roots(n: int, r: int) -> np.ndarray:
+    """``W[i, k] = omega**(i * k mod r)``, ``omega = exp(2 pi i / r)``; built
+    once per ``(n, r)`` and read-only."""
+    ik = np.arange(n)[:, None] * np.arange(r) % r
+    w = np.exp(2j * np.pi / r * ik)
+    w.setflags(write=False)
+    return w
 
 
 def _values_and_gradients(x: np.ndarray, spectrum, m: int):
@@ -149,10 +162,12 @@ def _values_and_gradients(x: np.ndarray, spectrum, m: int):
 
     With ``P = x @ W`` the values of the point's polynomial at the r-th roots
     of unity, ``grad = m * Re((c * P**(m-1)) @ W^T)`` and, by Euler's identity
-    for a degree-m form, ``f = x . grad / m``.
+    for a degree-m form, ``f = x . grad / m``.  x is cast to complex first:
+    the einsum then multiplies the same numbers without casting through
+    buffers.
     """
     c, w = spectrum
-    p = np.einsum("bi,ik->bk", x, w)
+    p = np.einsum("bi,ik->bk", x.astype(complex), w)
     g = np.einsum("bk,ik->bi", c * p ** (m - 1), w).real
     return np.einsum("bi,bi->b", x, g), m * g
 
@@ -189,12 +204,19 @@ def _start_matrix(n: int, starts: int, rng_seed: int) -> np.ndarray:
 
 def _step(spectrum, m: int, x, f, grad, eta):
     """``(y, f(y), grad f(y), hit)`` for the normalized points
-    ``y = x - eta * grad``; ``hit`` marks the rows where y decreases f."""
-    y = x - eta[:, None] * grad
-    norm = np.sqrt(np.einsum("bi,bi->b", y, y))
-    y /= norm[:, None]
-    fy, gy = _values_and_gradients(y, spectrum, m)
-    return y, fy, gy, (norm != 0.0) & np.isfinite(norm) & (fy < f)
+    ``y = x - eta * grad``; ``hit`` marks the rows where y decreases f.
+
+    ``eta`` holds one step size per row of x, or a ``(levels, rows)`` block
+    of them; then every row steps at every level, and the results carry
+    the leading ``levels`` axis.
+    """
+    y = x - eta[..., None] * grad
+    rows = y.reshape(-1, y.shape[-1])  # a view: normalizing y normalizes rows
+    norm = np.sqrt(np.einsum("bi,bi->b", rows, rows)).reshape(eta.shape)
+    y /= norm[..., None]
+    fy, gy = _values_and_gradients(rows, spectrum, m)
+    fy = fy.reshape(eta.shape)
+    return y, fy, gy.reshape(y.shape), (norm != 0.0) & np.isfinite(norm) & (fy < f)
 
 
 def _descend_rows(spectrum, m: int, x: np.ndarray):
@@ -223,17 +245,29 @@ def _descend_rows(spectrum, m: int, x: np.ndarray):
         pending = (~hit).nonzero()[0]
         if pending.size:
             # Rows that missed keep their point unless a halved step hits.
-            fy[pending], y[pending], gy[pending] = f[pending], x[pending], grad[pending]
-            for _ in range(MAX_HALVINGS):
-                trial[pending] *= 0.5
-                yp, fp, gp, hit = _step(
-                    spectrum, m, x[pending], f[pending], grad[pending], trial[pending]
-                )
-                rows = pending[hit]
-                fy[rows], y[rows], gy[rows], eta[rows] = fp[hit], yp[hit], gp[hit], trial[rows]
-                pending = pending[~hit]
-                if not pending.size:
+            xp, fp, gp, tp = x[pending], f[pending], grad[pending], trial[pending]
+            fy[pending], y[pending], gy[pending] = fp, xp, gp
+            # Try the halvings in blocks of 1, 2, 4, ... levels, each block
+            # in one step; a row takes the first level that hits, which is
+            # the step a one-halving-at-a-time search would take.
+            done, size = 0, 1
+            while done < MAX_HALVINGS:
+                size = min(size, MAX_HALVINGS - done)
+                levels = np.empty((size, pending.size))
+                levels[0], levels[1:] = tp * 0.5, 0.5
+                np.multiply.accumulate(levels, out=levels)  # repeated halving
+                yb, fb, gb, hb = _step(spectrum, m, xp, fp, gp, levels)
+                found = np.logical_or.reduce(hb)
+                cols = found.nonzero()[0]
+                first, rows = hb.argmax(axis=0)[cols], pending[cols]
+                fy[rows], y[rows], gy[rows] = fb[first, cols], yb[first, cols], gb[first, cols]
+                eta[rows] = levels[first, cols]
+                if cols.size == pending.size:
                     break
+                missed = ~found
+                pending, xp, fp, gp = pending[missed], xp[missed], fp[missed], gp[missed]
+                tp = levels[-1, missed]
+                done, size = done + size, 2 * size
         # Stop where f fell by less than PLATEAU_TOL.  A row that found no
         # decreasing step kept fy = f and stops here too; the negated >= also
         # stops rows whose value is NaN.
@@ -252,6 +286,26 @@ def _descend_rows(spectrum, m: int, x: np.ndarray):
                 break
     f_out[live], x_out[live], converged[live] = f, x, False
     return f_out, x_out, converged
+
+
+def _eval_float(gen: GeneratingVector, x: tuple) -> float:
+    """``polyeval.eval_fast(gen, x)`` at a float point, bitwise, on float64 arrays.
+
+    The same m - 1 convolutions as ``polyeval.conv_power``: adding
+    ``a * x[j]`` for j from n - 1 down to 0 gives each output its terms in
+    the order of ``polyeval.convolve``.  The zero terms that ``convolve``
+    skips add +-0.0 here, which changes no sum: a sum that starts at 0.0
+    never becomes -0.0.
+    """
+    xs = np.array(x, dtype=float)
+    a = xs
+    with np.errstate(all="ignore"):
+        for _ in range(gen.m - 1):
+            out = np.zeros(len(a) + len(xs) - 1)
+            for j in range(len(xs) - 1, -1, -1):
+                out[j : j + len(a)] += a * xs[j]
+            a = out
+    return float(_dot(gen.v, a.tolist()))
 
 
 def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> SphereMinResult:
@@ -280,7 +334,7 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
     best = int(np.argmin(values))  # earliest of equal minima
     argmin = tuple(points[best].tolist()) if values[best] < math.inf else None
     return SphereMinResult(
-        min_value=math.inf if argmin is None else eval_fast(gen, argmin),
+        min_value=math.inf if argmin is None else _eval_float(gen, argmin),
         argmin=argmin,
         starts=starts,
         converged_starts=int(converged.sum()),

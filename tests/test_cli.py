@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface: formats and exit codes."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -340,6 +341,20 @@ class TestNoFiniteValue:
         assert "status: Uncovered" in proc.stdout
         assert "evidence_argmin: none" in proc.stdout
         assert "no point with a finite float64 value" in proc.stdout
+
+
+def test_overflowing_min_value_is_noted(tmp_path):
+    """Period 11 keeps the FFT finite, so some candidates have a finite kernel
+    value, but the float64 evaluation behind min_value overflows to NaN."""
+    genvec = [1e307 * (1 + 0.001 * ((37 * k) % 11)) for k in range(181)]
+    doc = write_doc(tmp_path, "overflow.json", {"m": 60, "n": 4, "genvec": genvec})
+    proc = _fresh_process("-m", "anticirculant.cli", "classify", "--json", doc)
+    assert (proc.returncode, proc.stderr) == (4, "")
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "Uncovered"
+    assert payload["evidence"]["argmin"] is not None
+    assert math.isnan(payload["evidence"]["min_value"])
+    assert "evaluation for min_value overflowed to nan" in payload["notes"][-1]
 
 
 class TestDocumentErrors:

@@ -1,8 +1,11 @@
 """Tests for the deterministic sphere search and the Jacobi matrix check."""
 
+import hashlib
 import itertools
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,7 +123,10 @@ class TestSphereMin:
     def test_candidates_and_starts_are_built_once_and_read_only(self):
         assert oracle._candidates(4) is oracle._candidates(4)
         assert oracle._start_matrix(4, 8, 0) is oracle._start_matrix(4, 8, 0)
-        for cached in (oracle._candidates(4), oracle._start_matrix(4, 8, 0)):
+        assert oracle._roots(4, 3) is oracle._roots(4, 3)
+        gen = expand(CirculantSpec(6, 4, 3, (1.0, 2.0, 0.5)))
+        assert oracle._spectrum(gen)[1] is oracle._roots(4, 3)
+        for cached in (oracle._candidates(4), oracle._start_matrix(4, 8, 0), oracle._roots(4, 3)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 cached[0, 0] = 2.0
@@ -171,6 +177,81 @@ class TestSphereMin:
         if cap is not None:
             monkeypatch.setattr(oracle, "MAX_ITERATIONS", cap)
         assert sphere_min(expand(spec), starts=starts, rng_seed=rng_seed).to_dict() == expected
+
+    #: As GOLDEN, recorded with the one-halving-at-a-time line search, at
+    #: three settings of MAX_HALVINGS: 3 and 13 end the halvings inside a
+    #: block of the doubling ladder (1 + 2 and 1 + 2 + 4 + 6 levels), and
+    #: every entry has rows that use up every halving.  The last field is a
+    #: digest of the descents' float64 ends ``(f, x, converged)``.
+    LADDER_GOLDEN = [
+        (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 3, {
+            "min_value": -38.40000000000001,
+            "argmin": [-0.49999999934673767, 0.49999999998541683, -0.5000000008034016,
+                       0.4999999998644441],
+            "starts": 16, "converged_starts": 16, "rng_seed": 1}, "791eaa59e0a554ab"),
+        (CirculantSpec(4, 7, 3, (0.9, 1.4, 1.1)), 0, 3, {
+            "min_value": -4.537432990235785,
+            "argmin": [0.4811565942393324, -0.34776808808372994, -0.17829709778146907,
+                       0.4811565943988221, -0.34776808867596903, -0.17829709723346704,
+                       0.4811565929472536],
+            "starts": 16, "converged_starts": 16, "rng_seed": 0}, "2bc684508ee66d10"),
+        (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 3, {
+            "min_value": -108.0000000000001,
+            "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
+                       0.4082482902009554, -0.4082482899796638, 0.408248290726512],
+            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "c8e55c1c53d7de94"),
+        (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 13, {
+            "min_value": -38.400000000000034,
+            "argmin": [-0.5000000000061748, 0.5000000000194108, -0.4999999999864144,
+                       0.4999999999880002],
+            "starts": 16, "converged_starts": 16, "rng_seed": 1}, "a4ebb31b1b37ec50"),
+        (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 13, {
+            "min_value": -108.0000000000001,
+            "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
+                       0.4082482902009554, -0.4082482899796638, 0.408248290726512],
+            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "3e440ef295bfe377"),
+        (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 40, {
+            "min_value": -38.400000000000034,
+            "argmin": [-0.5000000000061748, 0.5000000000194108, -0.4999999999864144,
+                       0.4999999999880002],
+            "starts": 16, "converged_starts": 16, "rng_seed": 1}, "5bcb0213587fcad0"),
+        (CirculantSpec(10, 5, 5, (1, 1, 1, 1, 1)), 2, 40, {
+            "min_value": 6.973588373426765e-16,
+            "argmin": [0.7071067811865475, -0.7071067811865475, 0.0, 0.0, 0.0],
+            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "346af62f83f2451a"),
+        (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 40, {
+            "min_value": -108.0000000000001,
+            "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
+                       0.4082482902009554, -0.4082482899796638, 0.408248290726512],
+            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "7c9406003d1b6776"),
+    ]
+
+    @pytest.mark.parametrize("spec, rng_seed, halvings, expected, digest", LADDER_GOLDEN)
+    def test_golden_halving_ladder(self, monkeypatch, spec, rng_seed, halvings, expected, digest):
+        monkeypatch.setattr(oracle, "MAX_HALVINGS", halvings)
+        # Watch the ladder: an iteration's blocks follow its one-level first
+        # trial, and a row that misses in a block ending at MAX_HALVINGS has
+        # used up every halving.
+        blocks, step = [], oracle._step
+
+        def watch(spectrum, m, x, f, grad, eta):
+            out = step(spectrum, m, x, f, grad, eta)
+            blocks.append((len(eta), int((~out[3].any(axis=0)).sum())) if eta.ndim == 2 else None)
+            return out
+
+        monkeypatch.setattr(oracle, "_step", watch)
+        gen = expand(spec)
+        assert sphere_min(gen, starts=16, rng_seed=rng_seed).to_dict() == expected
+        f, x, ok = oracle._descend_rows(
+            oracle._spectrum(gen), gen.m, oracle._start_matrix(gen.n, 16, rng_seed)
+        )
+        assert hashlib.sha256(f.tobytes() + x.tobytes() + ok.tobytes()).hexdigest()[:16] == digest
+        used_up, levels = 0, 0
+        for block in blocks:
+            levels = 0 if block is None else levels + block[0]
+            if block is not None and levels == halvings:
+                used_up += block[1]
+        assert used_up > 0
 
     def test_golden_descent_values(self):
         # the PSD specs above take their argmin from a candidate, so pin the
@@ -277,6 +358,28 @@ class TestBatchedKernels:
             assert np.array_equal(x1[0], x[i])
             assert ok1[0] == ok[i]
 
+    @pytest.mark.parametrize(
+        "rows, n", [(1, 2), (2, 16), (3, 7), (16, 5), (64, 12), (795, 6), (800, 16), (100, 3)]
+    )
+    @pytest.mark.parametrize("which_r", ["one", "between", "L"])
+    def test_kernel_is_the_mixed_dtype_formula(self, rows, n, which_r):
+        # casting x to complex first multiplies the same numbers as letting
+        # einsum cast the float operand itself
+        rng = np.random.default_rng([rows, n, len(which_r)])
+        m = int(rng.integers(1, 6)) * 2
+        length = (n - 1) * m + 1
+        r = {"one": 1, "between": int(rng.integers(2, length)), "L": length}[which_r]
+        gen = GeneratingVector(m, n, tuple(np.resize(rng.uniform(-2, 2, r), length).tolist()))
+        spectrum = oracle._spectrum(gen)
+        c, w = spectrum
+        assert w.shape == (n, r)
+        x = rng.uniform(-1.0, 1.0, (rows, n))
+        p = np.einsum("bi,ik->bk", x, w)
+        g = np.einsum("bk,ik->bi", c * p ** (m - 1), w).real
+        f, grad = oracle._values_and_gradients(x, spectrum, m)
+        assert f.tobytes() == np.einsum("bi,bi->b", x, g).tobytes()
+        assert grad.tobytes() == (m * g).tobytes()
+
     def test_candidates_follow_the_product_order(self):
         n = 4
         points = oracle._candidates(n)
@@ -284,6 +387,57 @@ class TestBatchedKernels:
         tail = points[-len(patterns):]
         for row, p in zip(tail, patterns):
             assert np.allclose(row, np.array(p) / math.sqrt(sum(t * t for t in p)), atol=1e-15)
+
+
+def _twin_case(rng):
+    """A generating vector (float, int or Fraction entries) and a float point
+    with signed zeros, underflowing and overflowing coordinates mixed in."""
+    m, n = rng.randint(2, 12), rng.randint(2, 7)
+    length = (n - 1) * m + 1
+    kind = rng.choice(("float", "int", "fraction", "huge"))
+    if kind == "float":
+        v = [rng.uniform(-2.0, 2.0) for _ in range(length)]
+    elif kind == "int":
+        v = [rng.randint(-5, 5) for _ in range(length)]
+    elif kind == "fraction":
+        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
+    else:
+        v = [rng.choice((-1.0, 1.0)) * 1e300 for _ in range(length)]
+    x = []
+    for _ in range(n):
+        pick = rng.random()
+        if pick < 0.15:
+            x.append(rng.choice((0.0, -0.0)))
+        elif pick < 0.3:
+            x.append(rng.uniform(-1.0, 1.0) * 1e-200)  # its powers underflow
+        elif pick < 0.35:
+            x.append(rng.uniform(-1.0, 1.0) * 1e100)  # its powers overflow
+        else:
+            x.append(rng.uniform(-1.0, 1.0))
+    return GeneratingVector(m, n, tuple(v)), tuple(x)
+
+
+class TestFloatEvaluation:
+    """``oracle._eval_float``, the numpy twin of ``eval_fast`` behind min_value."""
+
+    def test_is_eval_fast_bitwise(self):
+        rng = random.Random(11)
+        finite = 0
+        for _ in range(1500):
+            gen, x = _twin_case(rng)
+            ours, ref = oracle._eval_float(gen, x), eval_fast(gen, x)
+            assert type(ours) is float
+            assert repr(ours) == repr(float(ref))
+            if not math.isnan(ours):
+                finite += 1
+                assert ours == ref
+        assert finite >= 1000
+
+    def test_overflow_is_nan_as_in_eval_fast(self):
+        gen = GeneratingVector(60, 4, tuple(1e307 * (1 + 0.001 * ((37 * k) % 11)) for k in range(181)))
+        x = (0.5358211478638143, 0.692704122545054, -0.4502878632004412, 0.17406187510587207)
+        assert math.isnan(oracle._eval_float(gen, x))
+        assert math.isnan(eval_fast(gen, x))
 
 
 class TestJacobi:
