@@ -44,6 +44,7 @@ from .tensor import (
     WitnessVector,
     alpha_witnesses,
     differences,
+    distinct,
     expand,
     hankel_matrix,
     pattern_witnesses,
@@ -152,7 +153,11 @@ def _scale(values) -> float:
 
 
 def _effective_tol(values, rel_tol: float):
-    """Absolute comparison slack: zero in exact mode, relative otherwise."""
+    """Absolute comparison slack: zero in exact mode, relative otherwise.
+
+    For a generating vector pass ``distinct(v)``: the same answer from r
+    objects instead of L entries when v is an expanded seed.
+    """
     if all(isinstance(t, (int, Fraction)) for t in values):
         return 0
     return rel_tol * _scale(values)
@@ -275,7 +280,9 @@ def strong_hankel_check(
     even, odd = alpha + beta, alpha - beta
     residual = max(max(abs(float(t) - even) for t in gen.v[0::2]),
                    max(abs(float(t) - odd) for t in gen.v[1::2]))
-    slack = 2 * _effective_tol(gen.v, rel_tol) + CERTIFICATE_ULPS * math.ulp(1.0) * _scale(gen.v)
+    entries = distinct(gen.v)
+    slack = (2 * _effective_tol(entries, rel_tol)
+             + CERTIFICATE_ULPS * math.ulp(1.0) * _scale(entries))
     size = (len(gen.v) + 1) // 2
     return StrongHankelResult(
         passed=alpha >= -slack and beta >= -slack and residual <= slack,
@@ -438,7 +445,7 @@ def classify(
         tol = _effective_tol(subject.seed, rel_tol)
         case = _dispatch(subject.m, subject.n, subject.r)
     else:
-        gen, tol, case = subject, _effective_tol(subject.v, rel_tol), None
+        gen, tol, case = subject, _effective_tol(distinct(subject.v), rel_tol), None
 
     notes: tuple[str, ...] = ()
     if case == Case.EVEN_GCD_2 and subject.r > subject.n:

@@ -31,8 +31,9 @@ The live arrays are compacted only in iterations where some row stops.  The
 candidate rows (a function of n), the start matrix (a function of n,
 starts and rng_seed) and ``W`` (a function of n and r) are built once per
 process and kept read-only.  The reported ``min_value`` is
-``polyeval.eval_fast`` at ``argmin``, bitwise, computed by the same
-convolutions on float64 arrays (``_eval_float``); if no point has a finite
+``polyeval.eval_fast`` at ``argmin``, bitwise: ``argmin`` is a float point,
+so ``eval_fast`` takes its coefficient-profile route, and ``_eval_float``
+runs the same convolutions on float64 arrays; if no point has a finite
 float64 value, there is no argmin.
 
 ``matrix_psd`` decides matrix positive semidefiniteness with a hand-rolled
@@ -291,9 +292,11 @@ def _descend_rows(spectrum, m: int, x: np.ndarray):
 def _eval_float(gen: GeneratingVector, x: tuple) -> float:
     """``polyeval.eval_fast(gen, x)`` at a float point, bitwise, on float64 arrays.
 
-    The same m - 1 convolutions as ``polyeval.conv_power``: adding
-    ``a * x[j]`` for j from n - 1 down to 0 gives each output its terms in
-    the order of ``polyeval.convolve``.  The zero terms that ``convolve``
+    The twin of ``eval_fast``'s float route, the coefficient profile: float
+    input never takes the exact residue route, whose sums would run in
+    another order.  The same m - 1 convolutions as ``polyeval.conv_power``:
+    adding ``a * x[j]`` for j from n - 1 down to 0 gives each output its
+    terms in the order of ``polyeval.convolve``.  The zero terms that ``convolve``
     skips add +-0.0 here, which changes no sum: a sum that starts at 0.0
     never becomes -0.0.
     """

@@ -6,20 +6,44 @@ For a generating vector ``v`` the polynomial is
            v[i_1 + ... + i_m - m] * x_{i_1} * ... * x_{i_m}
 
 Grouping by the index sum turns this into a dot product: the coefficient of
-``v[s]`` is the coefficient of ``z**s`` in ``(x_1 + x_2 z + ... + x_n z**(n-1))**m``.
-On this exact scalar path that power is computed by repeated direct
-convolution, never FFT: convolution is exact on int/Fraction inputs, and the
-same profile also yields gradients and residue splits.  The float batch
-kernel of the sphere search (``oracle``) evaluates the same sum at roots of
-unity instead.
+``v[s]`` is the coefficient of ``z**s`` in ``p(z)**m``, where
+``p(z) = x_1 + x_2 z + ... + x_n z**(n-1)``.  ``eval_fast`` takes one of two
+routes, both by direct products, never FFT:
+
+- the coefficient profile: all ``L = (n-1)*m + 1`` coefficients of ``p**m``
+  by m - 1 convolutions (``conv_power``), then one dot product with ``v``;
+- the residue route, for exact input whose ``v`` repeats with a period r
+  up to ``max(n, 2n - 4)``, which is below L (every expanded spec's does):
+  as ``v[s] = v[s mod r]``, f only needs the residue-class sums of
+  the coefficients, which are the r coefficients of ``p**m`` modulo
+  ``z**r - 1`` (``cyclic_power``, m - 1 cyclic products), and
+  ``f = sum_k v[k] * R[k]``.  In exact arithmetic this is the profile's
+  value, and ``eval_fast`` returns it with the profile's type.
+
+Float input keeps the profile route: a float sum depends on its order, and
+the profile's order is the one the sphere search's reported minimum
+(``oracle._eval_float``) reproduces bitwise.  The float batch kernel of the
+sphere search (``oracle``) evaluates the same residue sums at roots of unity
+instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from fractions import Fraction
 
-from .tensor import DENSE_CAP_DEFAULT, CirculantSpec, GeneratingVector
+from .tensor import (
+    DENSE_CAP_DEFAULT,
+    CirculantSpec,
+    GeneratingVector,
+    max_circulant_index,
+)
+
+#: Entry types whose arithmetic is exact; any other type takes the profile.
+_EXACT_TYPES = frozenset((int, bool, Fraction))
+_numerator = operator.attrgetter("numerator")
+_denominator = operator.attrgetter("denominator")
 
 
 def convolve(a, b) -> list:
@@ -43,8 +67,64 @@ def conv_power(x, m: int) -> list:
     return out
 
 
+def cyclic_power(x, m: int, r: int) -> list:
+    """Coefficients of ``(x_1 + x_2 z + ... + x_n z**(n-1))**m`` modulo ``z**r - 1``.
+
+    Entry k is the sum of the profile coefficients at positions congruent to
+    k mod r.  x is folded mod r, then each of the m - 1 cyclic products adds
+    one rotated copy per nonzero folded entry: O(m * nnz * r) in all.
+    """
+    if m < 1:
+        raise ValueError(f"power must be >= 1, got {m}")
+    folded = [0] * r
+    for i, t in enumerate(x):
+        if t != 0:
+            folded[i % r] += t
+    terms = [(k, t) for k, t in enumerate(folded) if t != 0]
+    out = folded
+    for _ in range(m - 1):
+        acc = [0] * r
+        for k, t in terms:
+            # rotated[j] = out[(j - k) mod r], the coefficient that z**k moves to j
+            rotated = out[r - k :] + out[: r - k]
+            acc = [s + t * c for s, c in zip(acc, rotated)]
+        out = acc
+    return out
+
+
 def _dot(a, b):
     return sum(map(operator.mul, a, b))
+
+
+def _repeat(keys, cap: int):
+    """Smallest r <= cap with ``keys[s] == keys[s + r]`` wherever both exist, or None.
+
+    Only the smallest such r of the first ``2 * cap`` keys, r0, is checked on
+    the whole tuple.  If r0 fails there, no r <= cap holds: r0's first break
+    at some s >= 2 * cap - r0 >= r would, through period r, also be a break
+    at s - r, before it.
+    """
+    head = keys[: 2 * cap]
+    for r in range(1, cap + 1):
+        if head[r:] == head[:-r]:
+            return r if keys[r:] == keys[:-r] else None
+    return None
+
+
+def _period(v, cap: int, fractions: bool):
+    """A period r <= cap of v (``v[s] == v[s + r]`` wherever both exist), or None.
+
+    An int vector is compared as it is.  Fraction equality runs in Python,
+    so a vector with Fractions is compared by object id first (an expanded
+    seed repeats its r objects), then as (numerator, denominator) pairs of
+    ints.
+    """
+    if not fractions:
+        return _repeat(v, cap)
+    r = _repeat(tuple(map(id, v)), cap)
+    if r is None:
+        r = _repeat(tuple(zip(map(_numerator, v), map(_denominator, v))), cap)
+    return r
 
 
 def _check_dim(gen: GeneratingVector, x):
@@ -53,9 +133,32 @@ def _check_dim(gen: GeneratingVector, x):
 
 
 def eval_fast(gen: GeneratingVector, x):
-    """f(x) via the coefficient profile: one convolution power and one dot product."""
+    """f(x) by the residue route when it applies, else by the coefficient profile.
+
+    The residue route runs when every entry of ``gen.v`` and ``x`` is an int
+    or a Fraction and ``gen.v`` has a period r up to the largest circulant
+    index ``max(n, 2n - 4)``, which is below its length L for every m >= 2.
+    It returns ``sum_k v[k] * R[k]`` over the r entries of
+    ``cyclic_power(x, m, r)``:
+    equal to the profile's value, and a Fraction exactly when the profile's
+    sum would be one (some entry of v is, or x is nonzero and some entry of
+    x is).  Any float entry, or a vector with no shorter period, takes the
+    profile route, whose float results are pinned bitwise
+    (``oracle._eval_float``).
+    """
     _check_dim(gen, x)
-    return _dot(gen.v, conv_power(x, gen.m))
+    v, m = gen.v, gen.m
+    v_types, x_types = set(map(type, v)), set(map(type, x))
+    if _EXACT_TYPES.issuperset(v_types | x_types):
+        r = _period(v, max_circulant_index(gen.n), Fraction in v_types)
+        if r is not None:
+            value = _dot(v[:r], cyclic_power(x, m, r))
+            if type(value) is int and (
+                Fraction in v_types or (Fraction in x_types and any(x))
+            ):
+                return Fraction(value)
+            return value
+    return _dot(v, conv_power(x, m))
 
 
 def eval_naive(gen: GeneratingVector, x, cap: int = DENSE_CAP_DEFAULT):
@@ -98,16 +201,14 @@ def residue_components(spec: CirculantSpec, x) -> tuple:
     """Split the monomials of f by the residue class mod r of their index sum.
 
     Component ``j`` sums the profile coefficients whose 1-based index sum is
-    congruent to ``j`` mod ``r`` (profile position ``s`` has index sum
-    ``s + m``).  The split reads only (m, n, r), never the seed: for a
-    periodic seed, ``f(x) = sum_j seed[j] * component_j(x)``, and the
+    congruent to ``j`` mod ``r``; profile position ``s`` has index sum
+    ``s + m``, so component ``j`` is entry ``(j - m) mod r`` of
+    ``cyclic_power(x, m, r)``.  The split reads only (m, n, r), never the
+    seed: ``f(x) = sum_j seed[(j - m) mod r] * component_j(x)``, and the
     components always add up to ``(x_1 + ... + x_n)**m``.
     """
     gen_n, m, r = spec.n, spec.m, spec.r
     if len(x) != gen_n:
         raise ValueError(f"x has {len(x)} coordinates, tensor dimension is {gen_n}")
-    profile = conv_power(x, m)
-    parts = [0] * r
-    for s, coeff in enumerate(profile):
-        parts[(s + m) % r] += coeff
-    return tuple(parts)
+    folded = cyclic_power(x, m, r)
+    return tuple(folded[(j - m) % r] for j in range(r))

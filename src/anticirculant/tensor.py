@@ -43,12 +43,20 @@ NAMED_PATTERNS: tuple[tuple[int, ...], ...] = (
 )
 
 
+def distinct(values):
+    """Each object of ``values`` once, in order of first appearance.
+
+    An expanded seed repeats its r objects over L entries, so a scan of the
+    distinct objects visits r of them; a max or an all() over them is the
+    max or all() over ``values``.
+    """
+    return dict(zip(map(id, values), values)).values()
+
+
 def _require_finite(values, what: str) -> None:
     # floats can carry NaN or inf; an int or Fraction is finite but must still
     # fit in float64, since the numerical layers and the certificate use floats.
-    # An expanded seed repeats r objects over L entries: each object is checked
-    # once, in order of first appearance.
-    for t in {id(t): t for t in values}.values():
+    for t in distinct(values):
         try:
             finite = math.isfinite(t)
         except OverflowError:
@@ -62,6 +70,11 @@ def _require_finite(values, what: str) -> None:
 def genvec_length(m: int, n: int) -> int:
     """Length of the generating vector of an order-m, dimension-n Hankel tensor."""
     return (n - 1) * m + 1
+
+
+def max_circulant_index(n: int) -> int:
+    """Largest circulant index r a dimension-n spec accepts: ``max(n, 2n - 4)``."""
+    return max(n, 2 * n - 4)
 
 
 @dataclass(frozen=True)
@@ -89,7 +102,7 @@ class GeneratingVector:
         _require_finite(self.v, "generating vector")
 
     def max_abs(self) -> float:
-        return max(abs(float(t)) for t in self.v)
+        return max(abs(float(t)) for t in distinct(self.v))
 
 
 @dataclass(frozen=True)
@@ -112,7 +125,7 @@ class CirculantSpec:
             raise ValueError(f"order m must be >= 2, got {self.m}")
         if self.n < 2:
             raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        r_cap = max(self.n, 2 * self.n - 4)
+        r_cap = max_circulant_index(self.n)
         if not 1 <= self.r <= r_cap:
             raise ValueError(
                 f"circulant index r={self.r} outside 1..max(n, 2n-4) = 1..{r_cap}"

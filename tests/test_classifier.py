@@ -431,6 +431,30 @@ class TestExactMode:
         verdict = classify(CirculantSpec(4, 3, 3, (1.0, 1.0, 1.0 + 1e-14)))
         assert verdict.status == Status.PSD
 
+    def test_scale_and_exactness_visit_each_seed_object_once(self, monkeypatch):
+        calls, scanned = [], []
+
+        class CountingFraction(Fraction):
+            def __float__(self):
+                calls.append(self)
+                return super().__float__()
+
+        def spy(fn):
+            return lambda values, *rest: scanned.append(len(values)) or fn(values, *rest)
+
+        monkeypatch.setattr(classifier_mod, "_scale", spy(classifier_mod._scale))
+        monkeypatch.setattr(classifier_mod, "_effective_tol", spy(classifier_mod._effective_tol))
+        seed = (CountingFraction(7, 3), CountingFraction(-9, 2), 0.5)
+        gen = expand(CirculantSpec(30, 5, 3, seed))  # 121 entries, 3 objects
+        calls.clear()
+        assert gen.max_abs() == 4.5
+        assert len(calls) == 2
+        check = strong_hankel_check(gen, Certificate(CertificateKind.POWER_SUM, v0=4.5, t=1.0))
+        assert check.slack == 2 * 1e-12 * 4.5 + 8 * math.ulp(1.0) * 4.5
+        exact = GeneratingVector(30, 5, expand(CirculantSpec(30, 5, 2, seed[1::-1])).v)
+        assert classify(exact).status is Status.NOT_PSD
+        assert scanned and max(scanned) <= 3
+
 
 #: The README's six rows as written there, each comparison given the slack tol.
 README_ROWS = {

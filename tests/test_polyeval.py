@@ -1,14 +1,17 @@
 """Tests for polynomial evaluation: profiles, fast/naive agreement, residues."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anticirculant import polyeval
 from anticirculant.polyeval import (
     conv_power,
     convolve,
+    cyclic_power,
     eval_fast,
     eval_naive,
     residue_components,
@@ -20,6 +23,7 @@ from anticirculant.tensor import (
     alpha_template,
     expand,
     genvec_length,
+    max_circulant_index,
 )
 
 
@@ -218,6 +222,28 @@ class TestResidueComponents:
         f = sum(s * p for s, p in zip(spec.seed, parts))
         assert f == eval_fast(expand(spec), x)
 
+    def test_recombination_rotates_the_seed_by_m(self):
+        # components are keyed by the 1-based index sum, so seed[j] alone
+        # pairs them only when m = 0 mod r
+        spec = CirculantSpec(4, 4, 3, (1, 2, 5))
+        x = (1, 2, -1, 3)
+        parts = residue_components(spec, x)
+        assert eval_fast(expand(spec), x) == 1821
+        assert sum(spec.seed[(j - spec.m) % spec.r] * p for j, p in enumerate(parts)) == 1821
+        assert sum(s * p for s, p in zip(spec.seed, parts)) == 2329
+
+    @pytest.mark.parametrize("m, n, r", [(4, 4, 3), (6, 5, 4), (10, 4, 3), (8, 6, 5), (6, 7, 10)])
+    def test_recombination_on_fraction_seeds(self, m, n, r):
+        assert m % r != 0
+        rng = random.Random(f"{m}:{n}:{r}")
+        for _ in range(5):
+            seed = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(r))
+            spec = CirculantSpec(m, n, r, seed)
+            x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+            parts = residue_components(spec, x)
+            f = sum(seed[(j - m) % r] * p for j, p in enumerate(parts))
+            assert f == _dot_profile(expand(spec), x)
+
     @settings(deadline=None, max_examples=60)
     @given(data=st.data())
     def test_components_sum_to_power(self, data):
@@ -301,3 +327,138 @@ class TestAlphaCoefficients:
         values = _alpha_values(spec, "alpha-neg", 3)
         assert _differences(values, spec.m) != [0]
         assert _differences(values, spec.m + 1) == [0]
+
+
+def _dot_profile(gen, x):
+    """f(x) by the coefficient profile alone: the reference for the residue route."""
+    return sum(a * b for a, b in zip(gen.v, conv_power(x, gen.m)))
+
+
+def _exact_number(rng, kind):
+    if kind == "int":
+        return rng.randint(-6, 6)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    mixed = (True, False, rng.randint(-4, 4), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    return rng.choice(mixed)
+
+
+def _exact_case(rng):
+    """A generating vector and a point, every entry int, Fraction or bool.
+
+    Specs share their seed objects over the vector; the bare vectors are
+    built entry by entry (new objects), with or without a period below the
+    largest circulant index.
+    """
+    m, n = rng.randint(2, 10), rng.randint(2, 7)
+    length = genvec_length(m, n)
+    kind = rng.choice(("int", "fraction", "mixed"))
+    shape = rng.choice(("spec", "periodic", "free"))
+    r = rng.randint(1, max_circulant_index(n))
+    if shape == "spec":
+        gen = expand(CirculantSpec(m, n, r, [_exact_number(rng, kind) for _ in range(r)]))
+    elif shape == "periodic":
+        seed = [_exact_number(rng, kind) for _ in range(r)]
+        # equal values as new objects: the period is found by value, not identity
+        gen = GeneratingVector(m, n, [seed[s % r] + 0 for s in range(length)])
+    else:
+        gen = GeneratingVector(m, n, [_exact_number(rng, kind) for _ in range(length)])
+    x_kind = rng.choice(("int", "fraction", "mixed", kind))
+    x = []
+    for _ in range(n):
+        pick = rng.random()
+        if pick < 0.2:
+            x.append(rng.choice((0, Fraction(0), False)))
+        else:
+            x.append(_exact_number(rng, x_kind))
+    return gen, tuple(x)
+
+
+class TestResidueRoute:
+    """``eval_fast`` modulo ``z**r - 1`` against the coefficient profile."""
+
+    def test_cyclic_power_folds_the_profile(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            n, m, r = rng.randint(1, 7), rng.randint(1, 9), rng.randint(1, 12)
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            folded = [0] * r
+            for s, c in enumerate(conv_power(x, m)):
+                folded[s % r] += c
+            assert cyclic_power(x, m, r) == folded
+
+    def test_cyclic_power_rejects_zero(self):
+        with pytest.raises(ValueError):
+            cyclic_power([1, 2], 0, 2)
+
+    def test_exact_input_equals_profile_by_value_and_type(self):
+        rng = random.Random(10)
+        routes = {True: 0, False: 0}
+        for _ in range(1200):
+            gen, x = _exact_case(rng)
+            ours, ref = eval_fast(gen, x), _dot_profile(gen, x)
+            assert ours == ref
+            assert type(ours) is type(ref)
+            fractions = any(type(t) is Fraction for t in gen.v)
+            r = polyeval._period(gen.v, max_circulant_index(gen.n), fractions)
+            routes[r is not None] += 1
+        assert min(routes.values()) >= 300
+
+    def test_float_input_is_the_profile_bitwise(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            gen, x = _exact_case(rng)
+            where = rng.choice(("v", "x", "both"))
+            if where in ("v", "both"):
+                v = list(gen.v)
+                v[rng.randrange(len(v))] = rng.uniform(-2.0, 2.0)
+                gen = GeneratingVector(gen.m, gen.n, v)
+            if where in ("x", "both"):
+                x = tuple(float(t) if rng.random() < 0.5 else t for t in x)
+                x = x[:-1] + (rng.uniform(-1.0, 1.0),)
+            assert repr(eval_fast(gen, x)) == repr(_dot_profile(gen, x))
+
+    def test_periodic_exact_input_takes_the_residue_route(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("profile route taken")
+
+        monkeypatch.setattr(polyeval, "conv_power", refuse)
+        spec = CirculantSpec(30, 5, 2, (Fraction(7, 3), Fraction(-9, 2)))
+        assert eval_fast(expand(spec), (1, -1, 0, 0, 0)) == Fraction(11005853696, 3)
+        seed = (Fraction(1, 3), 2, Fraction(-5, 7), 4, 1, 0)  # n = 5: r up to 6
+        gen = GeneratingVector(4, 5, [seed[s % 6] + 0 for s in range(17)])
+        assert eval_fast(gen, (1, 2, 0, -1, 3)) == _dot_profile(gen, (1, 2, 0, -1, 3))
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            (0,) * 660 + (1,),
+            (0,) * 330 + (1,) + (0,) * 330,
+            (Fraction(1, 2),) * 660 + (Fraction(1),),
+            tuple(Fraction(s % 21, 5) for s in range(661)),  # period 21 > max(n, 2n - 4)
+        ],
+    )
+    def test_vector_without_a_period_up_to_the_cap_takes_the_profile(self, monkeypatch, v):
+        def refuse(*args):
+            raise AssertionError("residue route taken")
+
+        monkeypatch.setattr(polyeval, "cyclic_power", refuse)
+        gen = GeneratingVector(60, 12, v)
+        x = (1, -1) + (0,) * 10
+        assert eval_fast(gen, x) == _dot_profile(gen, x)
+
+    def test_period_search_is_the_smallest_repeat(self):
+        # the search checks one candidate on the whole vector; brute force agrees
+        rng = random.Random(12)
+        for _ in range(2000):
+            cap = rng.randint(1, 8)
+            length = rng.randint(cap + 1, 40)
+            period = rng.randint(1, 12)
+            base = [rng.randint(0, 1) for _ in range(period)]
+            keys = tuple(base[s % period] for s in range(length))
+            if rng.random() < 0.5:
+                s = rng.randrange(length)
+                keys = keys[:s] + (1 - keys[s],) + keys[s + 1 :]
+            brute = next((r for r in range(1, cap + 1) if keys[r:] == keys[:-r]), None)
+            assert polyeval._repeat(keys, cap) == brute
+
