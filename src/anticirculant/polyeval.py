@@ -42,8 +42,6 @@ from .tensor import (
 
 #: Entry types whose arithmetic is exact; any other type takes the profile.
 _EXACT_TYPES = frozenset((int, bool, Fraction))
-_numerator = operator.attrgetter("numerator")
-_denominator = operator.attrgetter("denominator")
 
 
 def convolve(a, b) -> list:
@@ -112,19 +110,14 @@ def _repeat(keys, cap: int):
 
 
 def _period(v, cap: int, fractions: bool):
-    """A period r <= cap of v (``v[s] == v[s + r]`` wherever both exist), or None.
+    """A period r <= cap of v, or None.
 
-    An int vector is compared as it is.  Fraction equality runs in Python,
-    so a vector with Fractions is compared by object id first (an expanded
-    seed repeats its r objects), then as (numerator, denominator) pairs of
-    ints.
+    An int vector is compared by value.  Fraction equality runs in Python,
+    so a vector with Fractions is compared by object id: an expanded seed
+    repeats its r objects, while equal Fractions held as distinct objects
+    find no period and take the profile route, which gives the same value.
     """
-    if not fractions:
-        return _repeat(v, cap)
-    r = _repeat(tuple(map(id, v)), cap)
-    if r is None:
-        r = _repeat(tuple(zip(map(_numerator, v), map(_denominator, v))), cap)
-    return r
+    return _repeat(tuple(map(id, v)) if fractions else v, cap)
 
 
 def _check_dim(gen: GeneratingVector, x):
@@ -137,7 +130,8 @@ def eval_fast(gen: GeneratingVector, x):
 
     The residue route runs when every entry of ``gen.v`` and ``x`` is an int
     or a Fraction and ``gen.v`` has a period r up to the largest circulant
-    index ``max(n, 2n - 4)``, which is below its length L for every m >= 2.
+    index ``max(n, 2n - 4)``, which is below its length L for every m >= 2;
+    Fraction entries must repeat as the same objects, as ``expand`` makes them.
     It returns ``sum_k v[k] * R[k]`` over the r entries of
     ``cyclic_power(x, m, r)``:
     equal to the profile's value, and a Fraction exactly when the profile's
@@ -205,7 +199,8 @@ def residue_components(spec: CirculantSpec, x) -> tuple:
     ``s + m``, so component ``j`` is entry ``(j - m) mod r`` of
     ``cyclic_power(x, m, r)``.  The split reads only (m, n, r), never the
     seed: ``f(x) = sum_j seed[(j - m) mod r] * component_j(x)``, and the
-    components always add up to ``(x_1 + ... + x_n)**m``.
+    components always add up to ``(x_1 + ... + x_n)**m``.  They are exact sums
+    over the nonzero entries of x, so a zero entry does not set their type.
     """
     gen_n, m, r = spec.n, spec.m, spec.r
     if len(x) != gen_n:

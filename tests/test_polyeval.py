@@ -260,6 +260,18 @@ class TestResidueComponents:
         target = sum(x) ** m
         assert abs(total - target) <= 1e-10 * max(1.0, abs(total), abs(target))
 
+    def test_zero_entries_do_not_set_the_type(self):
+        # components are exact sums over the nonzero entries of x: a
+        # Fraction(0) coordinate leaves them ints, a nonzero Fraction makes
+        # every one a Fraction
+        spec = CirculantSpec(4, 4, 3, (1, 2, 5))
+        parts = residue_components(spec, (Fraction(0), 1, 2, -1))
+        assert parts == residue_components(spec, (0, 1, 2, -1)) == (-26, 13, 29)
+        assert [type(p) for p in parts] == [int] * 3
+        parts = residue_components(spec, (Fraction(1, 2), 1, 2, -1))
+        assert parts == (Fraction(1, 2), Fraction(193, 16), Fraction(53, 2))
+        assert [type(p) for p in parts] == [Fraction] * 3
+
 
 def _alpha_values(spec, family, q):
     """f along the alpha witness family at alpha = 0..m+1, exactly (int seeds)."""
@@ -346,20 +358,23 @@ def _exact_number(rng, kind):
 def _exact_case(rng):
     """A generating vector and a point, every entry int, Fraction or bool.
 
-    Specs share their seed objects over the vector; the bare vectors are
-    built entry by entry (new objects), with or without a period below the
-    largest circulant index.
+    Specs share their seed objects over the vector.  Bare vectors either
+    repeat a seed's objects, repeat its values as new objects (a Fraction
+    vector of those has no period by identity and takes the profile), or
+    have free entries.
     """
     m, n = rng.randint(2, 10), rng.randint(2, 7)
     length = genvec_length(m, n)
     kind = rng.choice(("int", "fraction", "mixed"))
-    shape = rng.choice(("spec", "periodic", "free"))
+    shape = rng.choice(("spec", "periodic", "by-value", "free"))
     r = rng.randint(1, max_circulant_index(n))
     if shape == "spec":
         gen = expand(CirculantSpec(m, n, r, [_exact_number(rng, kind) for _ in range(r)]))
     elif shape == "periodic":
         seed = [_exact_number(rng, kind) for _ in range(r)]
-        # equal values as new objects: the period is found by value, not identity
+        gen = GeneratingVector(m, n, [seed[s % r] for s in range(length)])
+    elif shape == "by-value":
+        seed = [_exact_number(rng, kind) for _ in range(r)]
         gen = GeneratingVector(m, n, [seed[s % r] + 0 for s in range(length)])
     else:
         gen = GeneratingVector(m, n, [_exact_number(rng, kind) for _ in range(length)])
@@ -426,8 +441,18 @@ class TestResidueRoute:
         spec = CirculantSpec(30, 5, 2, (Fraction(7, 3), Fraction(-9, 2)))
         assert eval_fast(expand(spec), (1, -1, 0, 0, 0)) == Fraction(11005853696, 3)
         seed = (Fraction(1, 3), 2, Fraction(-5, 7), 4, 1, 0)  # n = 5: r up to 6
-        gen = GeneratingVector(4, 5, [seed[s % 6] + 0 for s in range(17)])
+        gen = GeneratingVector(4, 5, [seed[s % 6] for s in range(17)])
         assert eval_fast(gen, (1, 2, 0, -1, 3)) == _dot_profile(gen, (1, 2, 0, -1, 3))
+
+    def test_fraction_values_repeated_as_new_objects_take_the_profile(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("residue route taken")
+
+        monkeypatch.setattr(polyeval, "cyclic_power", refuse)
+        seed = (Fraction(1, 3), 2, Fraction(-5, 7), 4, 1, 0)
+        gen = GeneratingVector(4, 5, [seed[s % 6] + 0 for s in range(17)])
+        x = (1, 2, 0, -1, 3)
+        assert eval_fast(gen, x) == _dot_profile(gen, x)
 
     @pytest.mark.parametrize(
         "v",
