@@ -281,6 +281,10 @@ def cmd_eval(args) -> int:
     x = parse_number_list(args.x, "coordinate")
     if len(x) != gen.n:
         raise CliInputError(f"x has {len(x)} coordinates, tensor dimension is {gen.n}")
+    try:
+        tensor._require_finite(x, "coordinate")
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
     value = polyeval.eval_fast(gen, tuple(x))
 
     naive = None
@@ -290,6 +294,15 @@ def cmd_eval(args) -> int:
         except ValueError as exc:
             raise CliInputError(str(exc)) from None
     grad = polyeval.value_and_gradient(gen, tuple(x))[1] if args.gradient else None
+    # --json writes floats, text writes exact values exactly; the coordinates
+    # are finite, so a value that is no finite float64 comes from overflow
+    checked = [("f(x)", value), ("f_naive(x)", naive)] + [("gradient", t) for t in grad or ()]
+    for what, t in checked:
+        if t is not None and (args.json or isinstance(t, float)):
+            try:
+                tensor._require_finite((t,), what)
+            except ValueError:
+                raise CliInputError(f"{what} overflows float64 at this point") from None
 
     if args.json:
         payload = {"f": float(value)}
@@ -306,9 +319,10 @@ def cmd_eval(args) -> int:
             print(f"gradient: {_fmt_vec(grad)}")
 
     if naive is not None:
-        rel = abs(float(value) - float(naive)) / max(1.0, abs(float(value)), abs(float(naive)))
+        # exact values are compared exactly: they need not fit in a float
+        rel = abs(value - naive) / max(1, abs(value), abs(naive))
         if rel > 1e-10:
-            print(f"error: fast/naive mismatch, relative {rel:.3e}", file=sys.stderr)
+            print(f"error: fast/naive mismatch, relative {float(rel):.3e}", file=sys.stderr)
             return 3
     return 0
 

@@ -7,24 +7,17 @@ For a generating vector ``v`` the polynomial is
 
 Grouping by the index sum turns this into a dot product: the coefficient of
 ``v[s]`` is the coefficient of ``z**s`` in ``p(z)**m``, where
-``p(z) = x_1 + x_2 z + ... + x_n z**(n-1)``.  ``eval_fast`` takes one of two
-routes, both by direct products, never FFT:
-
-- the coefficient profile: all ``L = (n-1)*m + 1`` coefficients of ``p**m``
-  by m - 1 convolutions (``conv_power``), then one dot product with ``v``;
-- the residue route, for exact input whose ``v`` repeats with a period r
-  up to ``max(n, 2n - 4)``, which is below L (every expanded spec's does):
-  as ``v[s] = v[s mod r]``, f only needs the residue-class sums of
-  the coefficients, which are the r coefficients of ``p**m`` modulo
-  ``z**r - 1`` (``cyclic_power``, m - 1 cyclic products), and
-  ``f = sum_k v[k] * R[k]``.  In exact arithmetic this is the profile's
-  value, and ``eval_fast`` returns it with the profile's type.
-
-Float input keeps the profile route: a float sum depends on its order, and
-the profile's order is the one the sphere search's reported minimum
-(``oracle._eval_float``) reproduces bitwise.  The float batch kernel of the
-sphere search (``oracle``) evaluates the same residue sums at roots of unity
-instead.
+``p(z) = x_1 + x_2 z + ... + x_n z**(n-1)``.  One kernel computes them, by
+direct products, never FFT: ``cyclic_power(x, m, r)``, the r coefficients
+of ``p**m`` modulo ``z**r - 1``.  If v repeats with period r, f is their
+dot product with ``v[:r]``.  Every v repeats with its length
+``L = (n-1)*m + 1``, where nothing wraps and the r coefficients are the
+whole profile.  Exact input takes the smallest period of v up to
+``max(n, 2n - 4)``, which every expanded spec has.  Float input runs at
+r = L: folding reorders float sums, and at r = L the kernel adds in a direct
+convolution's order, which the sphere search's reported minimum
+(``oracle._eval_float``) reproduces bitwise.  The sphere search's batch
+kernel (``oracle``) evaluates the same residue sums at roots of unity.
 """
 
 from __future__ import annotations
@@ -40,37 +33,22 @@ from .tensor import (
     max_circulant_index,
 )
 
-#: Entry types whose arithmetic is exact; any other type takes the profile.
+#: Entry types whose arithmetic is exact; any other type is evaluated in float64.
 _EXACT_TYPES = frozenset((int, bool, Fraction))
-
-
-def convolve(a, b) -> list:
-    """Direct O(len(a)*len(b)) convolution; exact on exact inputs."""
-    nb = len(b)
-    out = [0] * (len(a) + nb - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue  # witness vectors are sparse; skipping zeros is exact
-        out[i : i + nb] = [s + ai * bj for s, bj in zip(out[i : i + nb], b)]
-    return out
-
-
-def conv_power(x, m: int) -> list:
-    """Coefficients of ``(x_1 + x_2 z + ... + x_n z**(n-1))**m`` by repeated convolution."""
-    if m < 1:
-        raise ValueError(f"power must be >= 1, got {m}")
-    out = list(x)
-    for _ in range(m - 1):
-        out = convolve(out, x)
-    return out
 
 
 def cyclic_power(x, m: int, r: int) -> list:
     """Coefficients of ``(x_1 + x_2 z + ... + x_n z**(n-1))**m`` modulo ``z**r - 1``.
 
     Entry k is the sum of the profile coefficients at positions congruent to
-    k mod r.  x is folded mod r, then each of the m - 1 cyclic products adds
-    one rotated copy per nonzero folded entry: O(m * nnz * r) in all.
+    k mod r; for r >= L = (n-1)*m + 1 the entries are the profile, then
+    zeros.  x is folded mod r, then each of the m - 1 cyclic products adds
+    one rotated copy per nonzero folded entry: O(m * nnz * r) in all.  The
+    copies are added from the highest index down, so each entry receives its
+    products in the order of a direct convolution, and zero products are
+    skipped with the zero entries of x.  With ``top`` the highest nonzero
+    folded index, the power j is zero past entry ``j * top`` until it wraps,
+    so only its first ``min(r, j * top + 1)`` entries are computed.
     """
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
@@ -78,16 +56,21 @@ def cyclic_power(x, m: int, r: int) -> list:
     for i, t in enumerate(x):
         if t != 0:
             folded[i % r] += t
-    terms = [(k, t) for k, t in enumerate(folded) if t != 0]
-    out = folded
+    terms = [(k, t) for k, t in enumerate(folded) if t != 0][::-1]
+    top = terms[0][0] if terms else 0
+    out, width = folded, top + 1  # out is zero from entry width on
     for _ in range(m - 1):
-        acc = [0] * r
+        if width < r:
+            out += [0] * (r - len(out))
+            width = min(r, width + top)
+        acc = [0] * width
         for k, t in terms:
-            # rotated[j] = out[(j - k) mod r], the coefficient that z**k moves to j
-            rotated = out[r - k :] + out[: r - k]
+            # rotated[i] = out[(i - k) mod r], the coefficient that z**k moves
+            # to i; k <= top < width
+            rotated = out[r - k :] + out[: width - k]
             acc = [s + t * c for s, c in zip(acc, rotated)]
         out = acc
-    return out
+    return out + [0] * (r - len(out))
 
 
 def _dot(a, b):
@@ -98,13 +81,14 @@ def _repeat(keys, cap: int):
     """Smallest r <= cap with ``keys[s] == keys[s + r]`` wherever both exist, or None.
 
     Only the smallest such r of the first ``2 * cap`` keys, r0, is checked on
-    the whole tuple.  If r0 fails there, no r <= cap holds: r0's first break
+    the whole sequence.  If r0 fails there, no r <= cap holds: r0's first break
     at some s >= 2 * cap - r0 >= r would, through period r, also be a break
-    at s - r, before it.
+    at s - r, before it.  cap must be below ``len(keys)``.
     """
     head = keys[: 2 * cap]
     for r in range(1, cap + 1):
-        if head[r:] == head[:-r]:
+        # the first pair decides most shifts without copying two slices
+        if head[r] == head[0] and head[r:] == head[:-r]:
             return r if keys[r:] == keys[:-r] else None
     return None
 
@@ -115,7 +99,7 @@ def _period(v, cap: int, fractions: bool):
     An int vector is compared by value.  Fraction equality runs in Python,
     so a vector with Fractions is compared by object id: an expanded seed
     repeats its r objects, while equal Fractions held as distinct objects
-    find no period and take the profile route, which gives the same value.
+    find no period and are evaluated at r = L, which gives the same value.
     """
     return _repeat(tuple(map(id, v)) if fractions else v, cap)
 
@@ -126,39 +110,35 @@ def _check_dim(gen: GeneratingVector, x):
 
 
 def eval_fast(gen: GeneratingVector, x):
-    """f(x) by the residue route when it applies, else by the coefficient profile.
+    """f(x) as ``sum_k v[k] * R[k]`` over the r entries of ``cyclic_power(x, m, r)``.
 
-    The residue route runs when every entry of ``gen.v`` and ``x`` is an int
-    or a Fraction and ``gen.v`` has a period r up to the largest circulant
-    index ``max(n, 2n - 4)``, which is below its length L for every m >= 2;
-    Fraction entries must repeat as the same objects, as ``expand`` makes them.
-    It returns ``sum_k v[k] * R[k]`` over the r entries of
-    ``cyclic_power(x, m, r)``:
-    equal to the profile's value, and a Fraction exactly when the profile's
-    sum would be one (some entry of v is, or x is nonzero and some entry of
-    x is).  Any float entry, or a vector with no shorter period, takes the
-    profile route, whose float results are pinned bitwise
-    (``oracle._eval_float``).
+    If every entry of ``gen.v`` and ``x`` is an int, bool or Fraction, r is
+    the smallest period of v up to the largest circulant index
+    ``max(n, 2n - 4)``, else the length L; Fraction entries must repeat as
+    the same objects, as ``expand`` makes them.  The value is exact, and a
+    Fraction exactly when the profile's sum would be one (some entry of v
+    is, or x is nonzero and some entry of x is).  Any other entry makes the
+    evaluation float64: x is converted to float and r = L, where the sums
+    run in the order that ``oracle._eval_float`` reproduces bitwise.
     """
     _check_dim(gen, x)
     v, m = gen.v, gen.m
     v_types, x_types = set(map(type, v)), set(map(type, x))
-    if _EXACT_TYPES.issuperset(v_types | x_types):
-        r = _period(v, max_circulant_index(gen.n), Fraction in v_types)
-        if r is not None:
-            value = _dot(v[:r], cyclic_power(x, m, r))
-            if type(value) is int and (
-                Fraction in v_types or (Fraction in x_types and any(x))
-            ):
-                return Fraction(value)
-            return value
-    return _dot(v, conv_power(x, m))
+    exact = _EXACT_TYPES.issuperset(v_types | x_types)
+    if exact:
+        r = _period(v, max_circulant_index(gen.n), Fraction in v_types) or len(v)
+    else:
+        x, r = tuple(map(float, x)), len(v)
+    value = _dot(v[:r], cyclic_power(x, m, r))
+    if exact and type(value) is int and (Fraction in v_types or (Fraction in x_types and any(x))):
+        return Fraction(value)
+    return value
 
 
 def eval_naive(gen: GeneratingVector, x, cap: int = DENSE_CAP_DEFAULT):
     """f(x) by brute-force enumeration of all n**m index tuples.
 
-    Independent of the convolution path; kept as a cross-check and refused
+    Independent of ``cyclic_power``; kept as a cross-check and refused
     above the dense entry cap.
     """
     _check_dim(gen, x)
@@ -177,18 +157,19 @@ def eval_naive(gen: GeneratingVector, x, cap: int = DENSE_CAP_DEFAULT):
 
 
 def value_and_gradient(gen: GeneratingVector, x):
-    """f(x) and its gradient, sharing one order-(m-1) profile.
+    """``eval_fast(gen, x)`` and the gradient of f at x, in the same arithmetic.
 
-    With ``d`` the profile of ``x`` at order ``m - 1``:
-    ``grad_i = m * sum_u d[u] * v[u + i - 1]`` and ``f = dot(v, convolve(d, x))``.
+    With ``d = cyclic_power(x, m - 1, width)``, the whole order-(m-1)
+    profile of ``width = (n-1)*(m-1) + 1`` entries,
+    ``grad_i = m * sum_u d[u] * v[u + i - 1]``.
     """
     _check_dim(gen, x)
     m, v = gen.m, gen.v
-    d = conv_power(x, m - 1)
-    value = _dot(v, convolve(d, x))
-    width = len(d)
-    grad = tuple(m * _dot(d, v[i : i + width]) for i in range(gen.n))
-    return value, grad
+    if not _EXACT_TYPES.issuperset(set(map(type, v)) | set(map(type, x))):
+        x = tuple(map(float, x))
+    width = len(v) - gen.n + 1
+    d = cyclic_power(x, m - 1, width)
+    return eval_fast(gen, x), tuple(m * _dot(d, v[i : i + width]) for i in range(gen.n))
 
 
 def residue_components(spec: CirculantSpec, x) -> tuple:

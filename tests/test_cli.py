@@ -468,6 +468,50 @@ class TestEvalCommand:
         assert main(["eval", genvec_doc, "1/2,1/2"]) == 0
         assert "f(x) = 1/2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "x", ["1e400,0", "0,-1e400", "1%s,0" % ("0" * 400)], ids=["1e400", "-1e400", "exact-1e400"]
+    )
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--naive", "--gradient"]])
+    def test_non_finite_coordinate_is_an_input_error(self, genvec_doc, capsys, x, flags):
+        # a float past float64 parses as inf; an exact one is refused like a genvec entry
+        assert main(["eval", genvec_doc, x] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coordinate entries must be finite" in captured.err
+
+    def test_exact_value_past_float64(self, tmp_path, capsys):
+        # f = (x_1 + x_2)^4; text keeps the exact value, --json refuses it
+        # rather than write Infinity
+        doc = write_doc(tmp_path, "d.json", {"m": 4, "n": 2, "r": 2, "seed": [1, 1]})
+        x = "1%s,0" % ("0" * 100)
+        assert main(["eval", doc, x, "--naive", "--gradient"]) == 0
+        out = capsys.readouterr().out
+        assert out == "f(x) = 1%s\nf_naive(x) = 1%s\ngradient: 4%s, 4%s\n" % (
+            "0" * 400, "0" * 400, "0" * 300, "0" * 300
+        )
+        assert main(["eval", doc, x, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: f(x) overflows float64 at this point\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--json"], ["--gradient"]])
+    def test_float_overflow_is_an_input_error(self, psd_doc, capsys, flags):
+        assert main(["eval", psd_doc, "1e100,0,0,0"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: f(x) overflows float64 at this point\n"
+
+    def test_overflowing_gradient_is_an_input_error(self, tmp_path, capsys):
+        # f = 0 at (10**103, 0), but the gradient's 4 * 10**309 is past float64
+        doc = write_doc(tmp_path, "g.json", {"m": 4, "n": 2, "genvec": [0, 1, 0, 0, 0]})
+        x = "1%s,0" % ("0" * 103)
+        assert main(["eval", doc, x, "--gradient"]) == 0
+        assert capsys.readouterr().out == "f(x) = 0\ngradient: 0, 4%s\n" % ("0" * 309)
+        assert main(["eval", doc, x, "--gradient", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gradient overflows float64 at this point\n"
+
 
 class TestSumsAndSignFacts:
     def test_alternating_sums(self, capsys):

@@ -19,7 +19,7 @@ from anticirculant.oracle import (
     matrix_psd,
     sphere_min,
 )
-from anticirculant.polyeval import conv_power, eval_fast, value_and_gradient
+from anticirculant.polyeval import _repeat, cyclic_power, eval_fast, value_and_gradient
 from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 
@@ -289,8 +289,9 @@ def _random_gen(seed, period=None):
 def _scales(gen, row):
     """Rounding scales of f and its gradient: the same sums taken over |x| and |v|."""
     v = np.abs(np.array(gen.v))
-    p_abs = np.array(conv_power([abs(t) for t in row], gen.m))
-    d_abs = np.array(conv_power([abs(t) for t in row], gen.m - 1))
+    x_abs = [abs(t) for t in row]
+    p_abs = np.array(cyclic_power(x_abs, gen.m, len(gen.v)))
+    d_abs = np.array(cyclic_power(x_abs, gen.m - 1, len(gen.v) - gen.n + 1))
     return float(v @ p_abs), gen.m * sliding_window_view(v, gen.n).T @ d_abs
 
 
@@ -336,7 +337,10 @@ class TestBatchedKernels:
         ],
     )
     def test_period_is_the_smallest_repeat(self, gen, period):
-        assert oracle._period(np.array(gen.v, dtype=float)) == period
+        # the shared finder, by value on the float64 vector, falling back to L
+        values = np.array(gen.v, dtype=float).tolist()
+        assert (_repeat(values, len(values) - 1) or len(values)) == period
+        assert oracle._spectrum(gen)[1].shape == (gen.n, period)
 
     @pytest.mark.parametrize(
         "spec",

@@ -1,4 +1,4 @@
-"""Tests for polynomial evaluation: profiles, fast/naive agreement, residues."""
+"""Tests for polynomial evaluation: the coefficient kernel, fast/naive agreement, residues."""
 
 import math
 import random
@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anticirculant import polyeval
+from anticirculant import oracle, polyeval
+from anticirculant.combinatorics import residue_sum_table
 from anticirculant.polyeval import (
-    conv_power,
-    convolve,
     cyclic_power,
     eval_fast,
     eval_naive,
@@ -49,43 +48,43 @@ def x_for(gen, draw_values):
     return tuple(draw_values[: gen.n])
 
 
+def profile(x, m):
+    """The whole coefficient profile of ``p(z)**m``: ``cyclic_power`` at r = L."""
+    return cyclic_power(x, m, genvec_length(m, len(x)))
+
+
 class TestConvolution:
+    """``cyclic_power`` at r = L is the convolution power of x."""
+
     def test_matches_polynomial_squares(self):
-        assert convolve([1, -1], [1, -1]) == [1, -2, 1]
-        assert convolve([1, 2], [3, 4]) == [3, 10, 8]
+        assert profile([1, -1], 2) == [1, -2, 1]
+        assert profile([1, 2], 2) == [1, 4, 4]
 
     def test_exact_on_fractions(self):
-        out = convolve([Fraction(1, 3)], [Fraction(3, 5)])
-        assert out == [Fraction(1, 5)]
+        out = profile([Fraction(1, 3), Fraction(3, 5)], 2)
+        assert out == [Fraction(1, 9), Fraction(2, 5), Fraction(9, 25)]
 
     def test_conv_power_examples(self):
-        assert conv_power([1, -1], 2) == [1, -2, 1]
-        assert conv_power([1, 1, 1], 2) == [1, 2, 3, 2, 1]
-        assert conv_power([1, 0, -1], 2) == [1, 0, -2, 0, 1]
+        assert profile([1, -1], 2) == [1, -2, 1]
+        assert profile([1, 1, 1], 2) == [1, 2, 3, 2, 1]
+        assert profile([1, 0, -1], 2) == [1, 0, -2, 0, 1]
 
     def test_conv_power_length(self):
-        assert len(conv_power((1.0, 2.0, 3.0), 4)) == genvec_length(4, 3)
+        assert len(profile((1.0, 2.0, 3.0), 4)) == genvec_length(4, 3)
 
     def test_conv_power_total_is_power_of_sum(self):
-        assert sum(conv_power((1, 2, 3), 4)) == 6**4
+        assert sum(profile((1, 2, 3), 4)) == 6**4
 
     @given(
         x=st.lists(st.integers(-5, 5), min_size=2, max_size=4),
         m=st.integers(2, 5),
     )
     def test_conv_power_total_property(self, x, m):
-        assert sum(conv_power(tuple(x), m)) == sum(x) ** m
+        assert sum(profile(tuple(x), m)) == sum(x) ** m
 
     def test_conv_power_rejects_zero(self):
         with pytest.raises(ValueError):
-            conv_power([1, 2], 0)
-
-    @given(
-        a=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-        b=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    )
-    def test_convolution_commutes(self, a, b):
-        assert convolve(a, b) == convolve(b, a)
+            profile([1, 2], 0)
 
 
 class TestEvaluation:
@@ -163,6 +162,17 @@ class TestGradient:
         value, grad = value_and_gradient(gen, x)
         assert value == eval_fast(gen, x)
         assert len(grad) == gen.n
+
+    def test_exact_gradient_is_the_naive_one(self):
+        # grad_i = m * f_i(x), with f_i the order-(m-1) form of v[i:]
+        gen = expand(CirculantSpec(6, 4, 3, (Fraction(1, 3), 2, -1)))
+        x = (Fraction(1, 2), -1, 0, 2)
+        value, grad = value_and_gradient(gen, x)
+        assert value == eval_fast(gen, x) == eval_naive(gen, x)
+        width = genvec_length(gen.m - 1, gen.n)
+        for i, g in enumerate(grad):
+            assert type(g) is Fraction
+            assert g == gen.m * eval_naive(GeneratingVector(gen.m - 1, gen.n, gen.v[i : i + width]), x)
 
     @settings(deadline=None, max_examples=40)
     @given(gen=gen_strategy(max_m=5), data=st.data())
@@ -342,8 +352,40 @@ class TestAlphaCoefficients:
 
 
 def _dot_profile(gen, x):
-    """f(x) by the coefficient profile alone: the reference for the residue route."""
-    return sum(a * b for a, b in zip(gen.v, conv_power(x, gen.m)))
+    """f(x) over the whole coefficient profile (r = L): the reference for folding."""
+    return sum(a * b for a, b in zip(gen.v, profile(x, gen.m)))
+
+
+def _exact_type(gen, x):
+    """The type of an exact f(x): Fraction if some entry of v is one, or if x
+    is nonzero and some entry of x is one; else int."""
+    def has_fraction(values):
+        return any(type(t) is Fraction for t in values)
+
+    return Fraction if has_fraction(gen.v) or (any(x) and has_fraction(x)) else int
+
+
+def _naive_residue_sums(x, m, r):
+    """Entry k: the sum of the profile coefficients at positions k mod r, as
+    f(x) for the 0/1 vector of those positions, by brute-force enumeration."""
+    n = len(x)
+    length = genvec_length(m, n)
+    return [
+        eval_naive(GeneratingVector(m, n, [int(s % r == k) for s in range(length)]), x)
+        for k in range(r)
+    ]
+
+
+def _recorded_periods(monkeypatch):
+    """The r of every ``cyclic_power`` call that ``eval_fast`` makes from now on."""
+    seen = []
+
+    def recording(x, m, r):
+        seen.append(r)
+        return cyclic_power(x, m, r)
+
+    monkeypatch.setattr(polyeval, "cyclic_power", recording)
+    return seen
 
 
 def _exact_number(rng, kind):
@@ -360,8 +402,8 @@ def _exact_case(rng):
 
     Specs share their seed objects over the vector.  Bare vectors either
     repeat a seed's objects, repeat its values as new objects (a Fraction
-    vector of those has no period by identity and takes the profile), or
-    have free entries.
+    vector of those has no period by identity and is evaluated at r = L),
+    or have free entries.
     """
     m, n = rng.randint(2, 10), rng.randint(2, 7)
     length = genvec_length(m, n)
@@ -390,17 +432,34 @@ def _exact_case(rng):
 
 
 class TestResidueRoute:
-    """``eval_fast`` modulo ``z**r - 1`` against the coefficient profile."""
+    """``cyclic_power`` against independent references, and the r ``eval_fast`` picks."""
 
     def test_cyclic_power_folds_the_profile(self):
+        # r from 1 to L + 3 against enumeration, with zero entries, an
+        # all-zero x, x with only x_1 nonzero, Fractions and bools
         rng = random.Random(3)
-        for _ in range(300):
-            n, m, r = rng.randint(1, 7), rng.randint(1, 9), rng.randint(1, 12)
-            x = [rng.randint(-3, 3) for _ in range(n)]
-            folded = [0] * r
-            for s, c in enumerate(conv_power(x, m)):
-                folded[s % r] += c
-            assert cyclic_power(x, m, r) == folded
+        special = [(0, 0, 0), (Fraction(0), False, 0), (2, 0, 0), (Fraction(-1, 3), 0, False)]
+        for trial in range(60):
+            m, n = rng.randint(2, 5), rng.randint(2, 4)
+            if trial < 2 * len(special):
+                x = special[trial // 2]
+                n = len(x)
+            else:
+                choices = (0, 0, True, False, rng.randint(-3, 3), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                x = tuple(rng.choice(choices) for _ in range(n))
+            for r in range(1, genvec_length(m, n) + 4):
+                assert cyclic_power(x, m, r) == _naive_residue_sums(x, m, r)
+
+    def test_cyclic_power_matches_residue_sum_table(self):
+        # the table keys a coefficient by its 1-based index sum, position + m
+        rng = random.Random(4)
+        for _ in range(60):
+            m = rng.randint(1, 6)
+            pattern = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
+            for r in range(1, genvec_length(m, len(pattern)) + 4):
+                folded = cyclic_power(pattern, m, r)
+                expected = residue_sum_table(m, r, pattern).sums
+                assert tuple(folded[(j - m) % r] for j in range(r)) == expected
 
     def test_cyclic_power_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -411,19 +470,22 @@ class TestResidueRoute:
         routes = {True: 0, False: 0}
         for _ in range(1200):
             gen, x = _exact_case(rng)
-            ours, ref = eval_fast(gen, x), _dot_profile(gen, x)
-            assert ours == ref
-            assert type(ours) is type(ref)
+            ours = eval_fast(gen, x)
+            assert ours == _dot_profile(gen, x)
+            assert type(ours) is _exact_type(gen, x)
             fractions = any(type(t) is Fraction for t in gen.v)
             r = polyeval._period(gen.v, max_circulant_index(gen.n), fractions)
             routes[r is not None] += 1
         assert min(routes.values()) >= 300
 
     def test_float_input_is_the_profile_bitwise(self):
+        # any float entry makes the evaluation float64 at r = L: all-float
+        # input is bitwise the numpy twin, mixed input the evaluation at x
+        # converted to float
         rng = random.Random(11)
         for _ in range(400):
             gen, x = _exact_case(rng)
-            where = rng.choice(("v", "x", "both"))
+            where = rng.choice(("v", "x", "both", "all"))
             if where in ("v", "both"):
                 v = list(gen.v)
                 v[rng.randrange(len(v))] = rng.uniform(-2.0, 2.0)
@@ -431,28 +493,36 @@ class TestResidueRoute:
             if where in ("x", "both"):
                 x = tuple(float(t) if rng.random() < 0.5 else t for t in x)
                 x = x[:-1] + (rng.uniform(-1.0, 1.0),)
-            assert repr(eval_fast(gen, x)) == repr(_dot_profile(gen, x))
+            if where == "all":
+                gen = GeneratingVector(gen.m, gen.n, [float(t) + rng.uniform(-0.5, 0.5) for t in gen.v])
+                x = tuple(float(t) + rng.uniform(-0.5, 0.5) for t in x)
+                assert repr(eval_fast(gen, x)) == repr(oracle._eval_float(gen, x))
+            else:
+                assert repr(eval_fast(gen, x)) == repr(_dot_profile(gen, tuple(map(float, x))))
+
+    def test_float_input_is_never_folded(self, monkeypatch):
+        seen = _recorded_periods(monkeypatch)
+        gen = expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)))
+        eval_fast(gen, (1, -1, 0, 0, 0, 0))
+        eval_fast(expand(CirculantSpec(8, 6, 4, (1, 2, 1, 2))), (0.5, -1, 0, 0, 0, 0))
+        assert seen == [len(gen.v)] * 2
 
     def test_periodic_exact_input_takes_the_residue_route(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("profile route taken")
-
-        monkeypatch.setattr(polyeval, "conv_power", refuse)
+        seen = _recorded_periods(monkeypatch)
         spec = CirculantSpec(30, 5, 2, (Fraction(7, 3), Fraction(-9, 2)))
         assert eval_fast(expand(spec), (1, -1, 0, 0, 0)) == Fraction(11005853696, 3)
         seed = (Fraction(1, 3), 2, Fraction(-5, 7), 4, 1, 0)  # n = 5: r up to 6
         gen = GeneratingVector(4, 5, [seed[s % 6] for s in range(17)])
         assert eval_fast(gen, (1, 2, 0, -1, 3)) == _dot_profile(gen, (1, 2, 0, -1, 3))
+        assert seen == [2, 6]
 
     def test_fraction_values_repeated_as_new_objects_take_the_profile(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("residue route taken")
-
-        monkeypatch.setattr(polyeval, "cyclic_power", refuse)
+        seen = _recorded_periods(monkeypatch)
         seed = (Fraction(1, 3), 2, Fraction(-5, 7), 4, 1, 0)
         gen = GeneratingVector(4, 5, [seed[s % 6] + 0 for s in range(17)])
         x = (1, 2, 0, -1, 3)
         assert eval_fast(gen, x) == _dot_profile(gen, x)
+        assert seen == [17]
 
     @pytest.mark.parametrize(
         "v",
@@ -464,13 +534,11 @@ class TestResidueRoute:
         ],
     )
     def test_vector_without_a_period_up_to_the_cap_takes_the_profile(self, monkeypatch, v):
-        def refuse(*args):
-            raise AssertionError("residue route taken")
-
-        monkeypatch.setattr(polyeval, "cyclic_power", refuse)
+        seen = _recorded_periods(monkeypatch)
         gen = GeneratingVector(60, 12, v)
         x = (1, -1) + (0,) * 10
         assert eval_fast(gen, x) == _dot_profile(gen, x)
+        assert seen == [661]
 
     def test_period_search_is_the_smallest_repeat(self):
         # the search checks one candidate on the whole vector; brute force agrees
