@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .combinatorics import SPECIAL_R3_ORDERS
-from .polyeval import eval_fast
+from .polyeval import eval_exact, eval_fast, rounded
 from .tensor import (
     NAMED_PATTERNS,
     CirculantSpec,
@@ -102,12 +103,8 @@ class Certificate:
     matrix_eigen_floor: float | None = None
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind.value, "v0": self.v0}
-        if self.t is not None:
-            out["t"] = self.t
-        if self.matrix_eigen_floor is not None:
-            out["matrix_eigen_floor"] = self.matrix_eigen_floor
-        return out
+        out = {**asdict(self), "kind": self.kind.value}
+        return {key: value for key, value in out.items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -351,39 +348,56 @@ def _hankel_eigenvector(gen: GeneratingVector) -> WitnessVector:
 
 
 def _find_witness(case, gen, tol, evidence_starts, rng_seed):
-    """First canonical witness clearing the margin, else best effort + notes."""
+    """The first canonical witness whose value clears the margin and, in
+    float64, its rounding bound; else the first of those candidates, the
+    sphere argmin and (m = 2) the Hankel eigenvector, most negative value
+    first, that is negative in exact arithmetic, with that value rounded once.
+    """
     scale = gen.max_abs()
     threshold = -WITNESS_REL_MARGIN * scale
-    best = None
+    # barring underflow, float64 rounding moves f(x) by at most k ulps of
+    # scale * (sum_i |x_i|)**m, with k operations in a chain
+    k = (gen.m - 1) * gen.n + len(gen.v) + 1
+    log_bound = math.log(k * sys.float_info.epsilon) + math.log(scale)
+    tried = []
     for candidate in _witness_candidates(case, gen, tol):
-        value = float(eval_fast(gen, candidate.x))
-        if value < threshold:
-            return candidate, value, ()
-        if value < 0.0 and (best is None or value < best[1]):
-            best = (candidate, value)
+        f = eval_fast(gen, candidate.x)
+        value = rounded(f)
+        if value < threshold and math.isfinite(value) and (type(f) is not float or (
+            math.log(-value) > log_bound + gen.m * math.log(math.fsum(map(abs, candidate.x)))
+        )):
+            return candidate, value
+        tried.append((candidate, value))
     from . import oracle as oracle_mod
 
     searched = oracle_mod.sphere_min(gen, starts=evidence_starts, rng_seed=rng_seed)
-    if searched.min_value < threshold:
+    if searched.argmin is not None:
         witness = WitnessVector(searched.argmin, "sphere-search")
-        return witness, searched.min_value, ()
-    if best is not None and searched.min_value < best[1]:
-        best = (WitnessVector(searched.argmin, "sphere-search"), searched.min_value)
-    if best is None and gen.m == 2:
+        if searched.min_value < threshold:
+            return witness, searched.min_value
+        tried.append((witness, searched.min_value))
+    if gen.m == 2:
         candidate = _hankel_eigenvector(gen)
-        value = float(eval_fast(gen, candidate.x))
-        if value < 0.0:
-            best = (candidate, value)
-    if best is not None:
-        note = (
-            "witness value clears zero but not the verification margin "
-            f"{threshold:.3e}; seed margins are below float resolution"
-        )
-        return best[0], best[1], (note,)
+        tried.append((candidate, eval_fast(gen, candidate.x)))
+    tried.sort(key=lambda item: (math.isnan(item[1]), item[1]))
+    for candidate, _ in tried:
+        value = eval_exact(gen, candidate.x)
+        if value < 0:
+            return candidate, rounded(value)
     raise RuntimeError(
-        "seed criterion says not positive semidefinite, but no negative witness "
-        "was found; input margins are below numerical resolution"
+        "seed criterion says not positive semidefinite, but no candidate witness "
+        "is negative in exact arithmetic"
     )
+
+
+def _past_float64(what: str, gen: GeneratingVector, x, value: float) -> tuple[str, ...]:
+    """A note giving f(x) as mantissa * 2**e if ``value``, f(x) rounded once, was clamped."""
+    exact = eval_exact(gen, x) if abs(value) == sys.float_info.max else 0
+    if abs(exact) <= sys.float_info.max:
+        return ()
+    e = exact.numerator.bit_length() - exact.denominator.bit_length()
+    return (f"{what} is exactly {float(exact / 2**e)!r} * 2**{e}, past float64; "
+            f"it is reported as {value!r}",)
 
 
 def _psd_verdict(case, gen, tol, rel_tol, notes) -> Verdict:
@@ -407,14 +421,14 @@ def _psd_verdict(case, gen, tol, rel_tol, notes) -> Verdict:
 
 
 def _not_psd_verdict(case, gen, tol, rel_tol, notes, evidence_starts, rng_seed) -> Verdict:
-    witness, value, extra = _find_witness(case, gen, tol, evidence_starts, rng_seed)
+    witness, value = _find_witness(case, gen, tol, evidence_starts, rng_seed)
     return Verdict(
         status=Status.NOT_PSD,
         case=case,
         tolerance=rel_tol,
         witness=witness,
         witness_value=value,
-        notes=notes + extra,
+        notes=notes + _past_float64("the witness value", gen, witness.x, value),
     )
 
 
@@ -474,11 +488,8 @@ def classify(
                 "the sphere search found no point with a finite float64 value, "
                 "so the evidence has no argmin",
             )
-        elif not math.isfinite(evidence.min_value):
-            notes += (
-                "the sphere search's value at the argmin is finite, but its float64 "
-                f"evaluation for min_value overflowed to {evidence.min_value}",
-            )
+        else:
+            notes += _past_float64("min_value", gen, evidence.argmin, evidence.min_value)
         return Verdict(
             status=Status.UNCOVERED, case=None, tolerance=rel_tol, evidence=evidence, notes=notes
         )

@@ -166,6 +166,8 @@ def _emit(lines) -> None:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "none"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, Fraction):
@@ -244,13 +246,7 @@ def _reverify_from_document(doc: dict, gen: tensor.GeneratingVector) -> bool:
         return classifier.strong_hankel_check(gen, rebuilt, doc["tolerance"]).passed
     if status == "NotPSD":
         x = doc["witness"]
-        if x is None or len(x) != gen.n:
-            return False
-        value = float(polyeval.eval_fast(gen, tuple(x)))
-        margin_noted = any("margin" in note for note in doc.get("notes", ()))
-        if margin_noted:
-            return value < 0.0
-        return value < -classifier.WITNESS_REL_MARGIN * gen.max_abs()
+        return x is not None and len(x) == gen.n and polyeval.eval_exact(gen, tuple(x)) < 0
     return status == "Uncovered"
 
 
@@ -278,22 +274,20 @@ def cmd_classify(args) -> int:
 def cmd_eval(args) -> int:
     subject, _ = load_spec_document(args.spec)
     gen = _gen_of(subject)
-    x = parse_number_list(args.x, "coordinate")
-    if len(x) != gen.n:
-        raise CliInputError(f"x has {len(x)} coordinates, tensor dimension is {gen.n}")
+    x = tuple(parse_number_list(args.x, "coordinate"))
     try:
         tensor._require_finite(x, "coordinate")
+        value = polyeval.eval_fast(gen, x)  # checks the dimension
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
-    value = polyeval.eval_fast(gen, tuple(x))
 
     naive = None
     if args.naive:
         try:
-            naive = polyeval.eval_naive(gen, tuple(x), cap=args.cap)
+            naive = polyeval.eval_naive(gen, x, cap=args.cap)
         except ValueError as exc:
             raise CliInputError(str(exc)) from None
-    grad = polyeval.value_and_gradient(gen, tuple(x))[1] if args.gradient else None
+    grad = polyeval.value_and_gradient(gen, x)[1] if args.gradient else None
     # --json writes floats, text writes exact values exactly; the coordinates
     # are finite, so a value that is no finite float64 comes from overflow
     checked = [("f(x)", value), ("f_naive(x)", naive)] + [("gradient", t) for t in grad or ()]

@@ -31,11 +31,11 @@ a row takes the first level that hits, as a one-at-a-time search would.
 The live arrays are compacted only in iterations where some row stops.  The
 candidate rows (a function of n), the start matrix (a function of n,
 starts and rng_seed) and ``W`` (a function of n and r) are built once per
-process and kept read-only.  The reported ``min_value`` is
-``polyeval.eval_fast`` at ``argmin``, bitwise: ``argmin`` is a float point,
-so ``eval_fast`` runs its kernel at ``r = L``, and ``_eval_float``, its twin,
-runs the same products in the same order on float64 arrays; if no point has
-a finite float64 value, there is no argmin.
+process and kept read-only.  The reported ``min_value`` is the exact value
+of f at ``argmin`` (``polyeval.eval_exact``), rounded once to float64 and
+clamped to ``±sys.float_info.max`` past it, so float cancellation in the
+search's own values never reaches it; if no point has a finite float64
+value, there is no argmin and no ``min_value``.
 
 ``matrix_psd`` decides matrix positive semidefiniteness with a hand-rolled
 cyclic Jacobi eigenvalue iteration, deliberately independent of any library
@@ -58,14 +58,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .tensor import GeneratingVector, candidate_witnesses
 # eval_fast and value_and_gradient are not called here; bench/spans.py traces
 # them under these names.
-from .polyeval import _dot, _repeat, eval_fast, value_and_gradient  # noqa: F401
+from .polyeval import _repeat, eval_exact, eval_fast, rounded, value_and_gradient  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,20 +115,14 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class SphereMinResult:
-    min_value: float
+    min_value: float | None
     argmin: tuple | None
     starts: int
     converged_starts: int
     rng_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "min_value": self.min_value,
-            "argmin": None if self.argmin is None else list(self.argmin),
-            "starts": self.starts,
-            "converged_starts": self.converged_starts,
-            "rng_seed": self.rng_seed,
-        }
+        return {**asdict(self), "argmin": None if self.argmin is None else list(self.argmin)}
 
 
 def _spectrum(gen: GeneratingVector):
@@ -284,32 +278,6 @@ def _descend_rows(spectrum, m: int, x: np.ndarray):
     return f_out, x_out, converged
 
 
-def _eval_float(gen: GeneratingVector, x: tuple) -> float:
-    """``polyeval.eval_fast(gen, x)`` at a float point, bitwise, on float64 arrays.
-
-    The twin of ``polyeval.cyclic_power`` at ``r = L``, where ``eval_fast``
-    runs every float input: the same m - 1 products, each adding ``a * x[j]``
-    for the nonzero x[j] from j = n - 1 down to 0, so that each output gets
-    its terms in the kernel's order.  Zero coordinates are skipped as the
-    kernel skips them: ``inf * 0.0`` would make an overflowing sum NaN.  The
-    products past the current degree, which the kernel leaves out, add +-0.0
-    here, which changes no sum: a sum that starts at 0.0 never becomes -0.0.
-    It is kept beside the kernel for speed at dense float points, such as a
-    sphere-search argmin: at ``(m, n) = (60, 12)`` it runs about ten times
-    faster than the pure-Python kernel.
-    """
-    xs = np.array(x, dtype=float)
-    a = xs
-    with np.errstate(all="ignore"):
-        for _ in range(gen.m - 1):
-            out = np.zeros(len(a) + len(xs) - 1)
-            for j in range(len(xs) - 1, -1, -1):
-                if xs[j] != 0.0:
-                    out[j : j + len(a)] += a * xs[j]
-            a = out
-    return float(_dot(gen.v, a.tolist()))
-
-
 def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> SphereMinResult:
     """Best point found over seeded candidates plus ``starts`` descents.
 
@@ -317,8 +285,9 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
     fits the dimension, then (for n <= 6) every nonzero sign pattern in
     {-1, 0, 1}^n.  Then the descents run from RNG unit vectors.  The result
     is deterministic for fixed (gen, starts, rng_seed); ties keep the
-    earliest point in this fixed ordering.  If no point has a finite float64
-    value, ``argmin`` is None and ``min_value`` is inf.
+    earliest point in this fixed ordering.  ``min_value`` is f(argmin)
+    rounded once from its exact value.  If no point has a finite float64
+    value, ``argmin`` and ``min_value`` are None.
     """
     if gen.m % 2 != 0:
         raise ValueError(f"sphere search needs even order, got m={gen.m}")
@@ -336,7 +305,7 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
     best = int(np.argmin(values))  # earliest of equal minima
     argmin = tuple(points[best].tolist()) if values[best] < math.inf else None
     return SphereMinResult(
-        min_value=math.inf if argmin is None else _eval_float(gen, argmin),
+        min_value=None if argmin is None else rounded(eval_exact(gen, argmin)),
         argmin=argmin,
         starts=starts,
         converged_starts=int(converged.sum()),

@@ -14,16 +14,18 @@ dot product with ``v[:r]``.  Every v repeats with its length
 ``L = (n-1)*m + 1``, where nothing wraps and the r coefficients are the
 whole profile.  Exact input takes the smallest period of v up to
 ``max(n, 2n - 4)``, which every expanded spec has.  Float input runs at
-r = L: folding reorders float sums, and at r = L the kernel adds in a direct
-convolution's order, which the sphere search's reported minimum
-(``oracle._eval_float``) reproduces bitwise.  The sphere search's batch
-kernel (``oracle``) evaluates the same residue sums at roots of unity.
+r = L, in a direct convolution's order.  ``eval_exact`` runs the kernel in
+int arithmetic on v and x scaled to integers: every float64 is a dyadic
+rational.  The sphere search's batch kernel (``oracle``) evaluates the same
+residue sums at roots of unity.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+import sys
 from fractions import Fraction
 
 from .tensor import (
@@ -118,21 +120,45 @@ def eval_fast(gen: GeneratingVector, x):
     the same objects, as ``expand`` makes them.  The value is exact, and a
     Fraction exactly when the profile's sum would be one (some entry of v
     is, or x is nonzero and some entry of x is).  Any other entry makes the
-    evaluation float64: x is converted to float and r = L, where the sums
-    run in the order that ``oracle._eval_float`` reproduces bitwise.
+    evaluation float64: x is converted to float and r = L, and the value is
+    a float even where every product is skipped, as at a zero point.
     """
     _check_dim(gen, x)
     v, m = gen.v, gen.m
     v_types, x_types = set(map(type, v)), set(map(type, x))
-    exact = _EXACT_TYPES.issuperset(v_types | x_types)
-    if exact:
-        r = _period(v, max_circulant_index(gen.n), Fraction in v_types) or len(v)
-    else:
-        x, r = tuple(map(float, x)), len(v)
+    if not _EXACT_TYPES.issuperset(v_types | x_types):
+        return float(_dot(v, cyclic_power(tuple(map(float, x)), m, len(v))))
+    r = _period(v, max_circulant_index(gen.n), Fraction in v_types) or len(v)
     value = _dot(v[:r], cyclic_power(x, m, r))
-    if exact and type(value) is int and (Fraction in v_types or (Fraction in x_types and any(x))):
+    if type(value) is int and (Fraction in v_types or (Fraction in x_types and any(x))):
         return Fraction(value)
     return value
+
+
+def _scaled(values):
+    """``(ints, d)``: the values times d, the lcm of their exact denominators."""
+    ratios = [t.as_integer_ratio() for t in values]
+    d = math.lcm(*{den for _, den in ratios})
+    return [num * (d // den) for num, den in ratios], d
+
+
+def eval_exact(gen: GeneratingVector, x) -> Fraction:
+    """f(x) exactly, for finite int, bool, Fraction or float entries: with
+    ``V, d_v = _scaled(v)``, ``X, d_x = _scaled(x)`` and r the smallest period
+    of V (or L), ``sum_k V[k] * cyclic_power(X, m, r)[k] / (d_v * d_x**m)``."""
+    _check_dim(gen, x)
+    v, dv = _scaled(gen.v)
+    xs, dx = _scaled(x)
+    r = _repeat(v, len(v) - 1) or len(v)
+    return Fraction(_dot(v[:r], cyclic_power(xs, gen.m, r)), dv * dx**gen.m)
+
+
+def rounded(value) -> float:
+    """``value`` rounded once to float64; past float64, ``±sys.float_info.max``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return sys.float_info.max if value > 0 else -sys.float_info.max
 
 
 def eval_naive(gen: GeneratingVector, x, cap: int = DENSE_CAP_DEFAULT):
@@ -183,8 +209,7 @@ def residue_components(spec: CirculantSpec, x) -> tuple:
     components always add up to ``(x_1 + ... + x_n)**m``.  They are exact sums
     over the nonzero entries of x, so a zero entry does not set their type.
     """
-    gen_n, m, r = spec.n, spec.m, spec.r
-    if len(x) != gen_n:
-        raise ValueError(f"x has {len(x)} coordinates, tensor dimension is {gen_n}")
+    _check_dim(spec, x)
+    m, r = spec.m, spec.r
     folded = cyclic_power(x, m, r)
     return tuple(folded[(j - m) % r] for j in range(r))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from anticirculant.classifier import (
     verify_power_sum,
 )
 from anticirculant.oracle import SplitMix64, matrix_psd, sphere_min
-from anticirculant.polyeval import eval_fast
+from anticirculant.polyeval import eval_exact, eval_fast
 from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 
@@ -241,6 +242,63 @@ class TestNotPsdVerdicts:
         assert verdict.status == Status.NOT_PSD
 
 
+#: Covered shapes with r > 1, including m = 2, for the near-rule seeds.
+NEAR_RULE_SHAPES = ((8, 5, 3), (6, 4, 3), (4, 4, 2), (10, 4, 2), (2, 4, 2),
+                    (6, 5, 4), (2, 5, 4), (4, 6, 4))
+
+
+def _near_rule_seed(rng, r):
+    """A seed that misses the rule by 2e-12 to 1e-11 of its scale: one entry
+    moved, the odd entries past the even ones, or the even ones below the odd."""
+    a = rng.uniform(0.5, 2.0)
+    b = a * rng.uniform(-1.0, 1.0) if r % 2 == 0 else a
+    seed = [a if s % 2 == 0 else b for s in range(r)]
+    d = rng.uniform(2e-12, 1e-11) * a
+    # moving one entry breaks the rule only where another entry must equal it
+    kind = 0 if r % 2 else rng.randrange(r == 2, 3)
+    if kind == 0:
+        seed[rng.randrange(r)] += rng.choice((-1, 1)) * d
+    elif kind == 1:
+        seed[1::2] = [rng.choice((-1, 1)) * (a + d)] * (r // 2)
+    else:
+        seed[0::2] = [a - d] * ((r + 1) // 2)
+        seed[1::2] = [rng.choice((-1, 1)) * a] * (r // 2)
+    return tuple(seed)
+
+
+class TestExactArbiter:
+    """Witnesses whose float64 values are at rounding level are decided exactly."""
+
+    def test_near_rule_seeds_have_exactly_negative_witnesses(self):
+        rng = random.Random(5)
+        below_margin = 0
+        for _ in range(60):
+            m, n, r = rng.choice(NEAR_RULE_SHAPES)
+            spec = CirculantSpec(m, n, r, _near_rule_seed(rng, r))
+            verdict = classify(spec, evidence_starts=16)
+            assert verdict.status == Status.NOT_PSD, spec
+            assert verdict.notes == (), spec
+            gen = expand(spec)
+            exact = eval_exact(gen, verdict.witness.x)
+            assert exact < 0, spec
+            if verdict.witness_value >= -WITNESS_REL_MARGIN * gen.max_abs():
+                assert verdict.witness_value == float(exact)
+                below_margin += 1
+        assert below_margin >= 10
+
+    def test_float_value_inside_its_rounding_bound_is_not_a_witness(self):
+        # at this alpha witness the float64 value cancels to -0.6875 while
+        # the exact value is about +1.70
+        spec = CirculantSpec(6, 5, 4, (1.697658410866139, -1.697658410869975) * 2)
+        gen = expand(spec)
+        x = (256.0, 1.0, -256.0, 0.0, 0.0)
+        assert eval_fast(gen, x) < -WITNESS_REL_MARGIN * gen.max_abs()
+        assert eval_exact(gen, x) > 1
+        verdict = classify(spec)
+        assert verdict.witness.x != x
+        assert eval_exact(gen, verdict.witness.x) < 0
+
+
 def _check(spec, rel_tol=1e-12):
     gen = expand(spec)
     return strong_hankel_check(gen, power_sum_certificate(gen, 0.0), rel_tol)
@@ -422,10 +480,14 @@ class TestExactMode:
         assert verdict.status == Status.NOT_PSD
 
     def test_fraction_witness_margin_note(self):
+        # no float value clears the margin; the witness is exactly negative,
+        # so it carries no note
         eps = Fraction(1, 10**40)
-        verdict = classify(CirculantSpec(4, 3, 3, (1, 1, 1 + eps)))
-        assert verdict.witness_value < 0
-        assert any("margin" in note for note in verdict.notes)
+        spec = CirculantSpec(4, 3, 3, (1, 1, 1 + eps))
+        verdict = classify(spec)
+        assert -1e-30 < verdict.witness_value < 0
+        assert eval_exact(expand(spec), verdict.witness.x) < 0
+        assert verdict.notes == ()
 
     def test_float_seeds_use_relative_tolerance(self):
         verdict = classify(CirculantSpec(4, 3, 3, (1.0, 1.0, 1.0 + 1e-14)))

@@ -1,9 +1,9 @@
 """End-to-end tests of the command-line surface: formats and exit codes."""
 
 import json
-import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +13,10 @@ import pytest
 
 import anticirculant
 from anticirculant.cli import main, parse_int_list, parse_number_list
+
+
+def _no_constant(name):
+    raise AssertionError(f"output is not standard JSON: it holds {name}")
 
 
 def write_doc(tmp_path, name, payload):
@@ -142,13 +146,14 @@ class TestClassifyCommand:
         assert code == 4
         assert "no circulant index" in out
 
-    def test_genvec_witness_inside_margin_is_noted(self, tmp_path, capsys):
-        # e_1 evaluates to -1e-10, inside the -1e-9 * max|v| verification margin
+    def test_genvec_witness_inside_margin_is_exact(self, tmp_path, capsys):
+        # e_1 evaluates to -1e-10, inside the -1e-9 * max|v| margin of the
+        # float pass; the exact pass finds it negative, so no note is needed
         doc = write_doc(tmp_path, "gv.json", {"m": 2, "n": 2, "genvec": [-1e-10, 0, 1]})
         assert main(["classify", doc, "--verify"]) == 1
         out = capsys.readouterr().out
         assert "witness_value: -1e-10" in out
-        assert "note: witness value clears zero but not the verification margin" in out
+        assert "note:" not in out
         assert "status reproduced" in out
 
     def test_tolerance_flag_loosens_equality(self, tmp_path, capsys):
@@ -206,8 +211,25 @@ class TestClassifyCommand:
         assert payload["status"] == "NotPSD"
         assert payload["witness_label"] == "hankel-eigenvector"
         assert -1e-11 < payload["witness_value"] < 0
-        assert "clears zero but not the verification margin" in payload["notes"][0]
+        assert payload["notes"] == []
         assert payload["verified"] is True
+
+    def test_overflowing_witness_is_clamped_and_noted(self, tmp_path, capsys):
+        # every float64 value of this seed's witnesses is inf or NaN; their
+        # exact values pass float64, so the witness value is clamped to
+        # -sys.float_info.max and a note gives it as mantissa * 2**e
+        doc = write_doc(tmp_path, "big.json", {"m": 20, "n": 6, "r": 2, "seed": [1e306, -1.2e306]})
+        assert main(["classify", doc, "--verify"]) == 1
+        out = capsys.readouterr().out
+        assert f"witness_value: {-sys.float_info.max!r}" in out
+        assert "past float64" in out
+        assert "verify: status reproduced" in out
+        assert main(["classify", doc, "--verify", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+        assert (payload["status"], payload["verified"]) == ("NotPSD", True)
+        assert payload["witness_value"] == -sys.float_info.max
+        assert re.fullmatch(r"the witness value is exactly -1\.\d+ \* 2\*\*10\d\d, past float64; "
+                            r"it is reported as -1\.7976931348623157e\+308", payload["notes"][0])
 
 
 #: Runs each argv of a JSON list through ``python -m anticirculant.cli``'s code
@@ -330,31 +352,34 @@ class TestNoFiniteValue:
     def test_json_is_labelled_uncovered(self, overflow_doc):
         proc = _fresh_process("-m", "anticirculant.cli", "classify", "--json", overflow_doc)
         assert (proc.returncode, proc.stderr) == (4, "")
-        payload = json.loads(proc.stdout)
+        payload = json.loads(proc.stdout, parse_constant=_no_constant)
         assert payload["status"] == "Uncovered"
         assert payload["evidence"]["argmin"] is None
+        assert payload["evidence"]["min_value"] is None
         assert "no point with a finite float64 value" in payload["notes"][-1]
 
     def test_text_is_labelled_uncovered(self, overflow_doc):
         proc = _fresh_process("-m", "anticirculant.cli", "classify", overflow_doc)
         assert (proc.returncode, proc.stderr) == (4, "")
         assert "status: Uncovered" in proc.stdout
+        assert "evidence: sphere-search min none over 64 starts" in proc.stdout
         assert "evidence_argmin: none" in proc.stdout
         assert "no point with a finite float64 value" in proc.stdout
 
 
-def test_overflowing_min_value_is_noted(tmp_path):
+def test_overflowing_min_value_is_exact(tmp_path):
     """Period 11 keeps the FFT finite, so some candidates have a finite kernel
-    value, but the float64 evaluation behind min_value overflows to NaN."""
+    value, while a float64 evaluation at the argmin overflows to NaN; the
+    exact value there fits float64 and is reported, rounded once."""
     genvec = [1e307 * (1 + 0.001 * ((37 * k) % 11)) for k in range(181)]
     doc = write_doc(tmp_path, "overflow.json", {"m": 60, "n": 4, "genvec": genvec})
     proc = _fresh_process("-m", "anticirculant.cli", "classify", "--json", doc)
     assert (proc.returncode, proc.stderr) == (4, "")
-    payload = json.loads(proc.stdout)
+    payload = json.loads(proc.stdout, parse_constant=_no_constant)
     assert payload["status"] == "Uncovered"
     assert payload["evidence"]["argmin"] is not None
-    assert math.isnan(payload["evidence"]["min_value"])
-    assert "evaluation for min_value overflowed to nan" in payload["notes"][-1]
+    assert payload["evidence"]["min_value"] == -6.629662731171532e307
+    assert len(payload["notes"]) == 1
 
 
 class TestDocumentErrors:

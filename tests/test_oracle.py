@@ -3,9 +3,7 @@
 import hashlib
 import itertools
 import math
-import random
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from anticirculant.oracle import (
     matrix_psd,
     sphere_min,
 )
-from anticirculant.polyeval import _repeat, cyclic_power, eval_fast, value_and_gradient
+from anticirculant.polyeval import _repeat, cyclic_power, eval_exact, eval_fast, value_and_gradient
 from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 
@@ -86,9 +84,17 @@ class TestSphereMin:
     def test_min_value_is_an_evaluation(self):
         gen = expand(CirculantSpec(6, 5, 4, (1, 0, 2, 0)))
         result = sphere_min(gen, starts=8)
-        assert result.min_value == eval_fast(gen, result.argmin)
+        assert result.min_value == float(eval_exact(gen, result.argmin))
         norm = math.sqrt(sum(t * t for t in result.argmin))
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_min_value_is_exact_where_float64_cancels(self):
+        # f = (x_1 + ... + x_16)^400 vanishes at (1, -1, 0, ...)/sqrt(2), where
+        # float64 evaluation cancels to about 1e43
+        gen = expand(CirculantSpec(400, 16, 5, (1.0,) * 5))
+        result = sphere_min(gen)
+        assert abs(eval_fast(gen, result.argmin)) > 1e40
+        assert result.min_value == 0.0
 
     def test_candidates_cover_structured_minima(self):
         # one start still finds the sign-pattern minimum via seeded candidates
@@ -144,30 +150,31 @@ class TestSphereMin:
         assert sphere_min(gen, starts=16).converged_starts == 6
 
     #: ``sphere_min(...).to_dict()`` as the lockstep loop of the
-    #: roots-of-unity kernel first produced it (numpy 2.4, x86_64).  Every
+    #: roots-of-unity kernel first produced it (numpy 2.4, x86_64), with
+    #: ``min_value`` re-recorded as the exact f(argmin) rounded once.  Every
     #: spec has rows that take halvings; the last entry caps the iterations
     #: at 30, so that some rows stop unconverged.
     GOLDEN = [
         (CirculantSpec(6, 5, 6, (1.3,) * 6), 16, 0, None, {
-            "min_value": 9.43689570931383e-16,
+            "min_value": 0.0,
             "argmin": [0.7071067811865475, -0.7071067811865475, 0.0, 0.0, 0.0],
             "starts": 16, "converged_starts": 16, "rng_seed": 0}),
         (CirculantSpec(8, 4, 4, (1.1, 0.4, 1.1, 0.4)), 16, 7, None, {
-            "min_value": -1.249000902703301e-16,
+            "min_value": 0.0,
             "argmin": [0.7071067811865475, 0.0, -0.7071067811865475, 0.0],
             "starts": 16, "converged_starts": 16, "rng_seed": 7}),
         (CirculantSpec(6, 5, 6, (1.0, -1.3) * 3), 16, 0, None, {
-            "min_value": -18.74110733252027,
+            "min_value": -18.74110733252026,
             "argmin": [0.4463821362176555, 0.44845789400861696, 0.44638213621765516,
                        0.44845789400861696, 0.4463821362176555],
             "starts": 16, "converged_starts": 16, "rng_seed": 0}),
         (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 16, 3, None, {
-            "min_value": -38.40000000000001,
+            "min_value": -38.40000000000002,
             "argmin": [0.4999999994800991, -0.5000000026365007, 0.5000000009468265,
                        -0.4999999969365739],
             "starts": 16, "converged_starts": 16, "rng_seed": 3}),
         (CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)), 16, 0, 30, {
-            "min_value": -9.71445146547012e-17,
+            "min_value": 0.0,
             "argmin": [0.7071067811865475, 0.0, -0.7071067811865475, 0.0, 0.0, 0.0],
             "starts": 16, "converged_starts": 6, "rng_seed": 0}),
     ]
@@ -185,18 +192,18 @@ class TestSphereMin:
     #: digest of the descents' float64 ends ``(f, x, converged)``.
     LADDER_GOLDEN = [
         (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 3, {
-            "min_value": -38.40000000000001,
+            "min_value": -38.40000000000002,
             "argmin": [-0.49999999934673767, 0.49999999998541683, -0.5000000008034016,
                        0.4999999998644441],
             "starts": 16, "converged_starts": 16, "rng_seed": 1}, "791eaa59e0a554ab"),
         (CirculantSpec(4, 7, 3, (0.9, 1.4, 1.1)), 0, 3, {
-            "min_value": -4.537432990235785,
+            "min_value": -4.537432990235784,
             "argmin": [0.4811565942393324, -0.34776808808372994, -0.17829709778146907,
                        0.4811565943988221, -0.34776808867596903, -0.17829709723346704,
                        0.4811565929472536],
             "starts": 16, "converged_starts": 16, "rng_seed": 0}, "2bc684508ee66d10"),
         (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 3, {
-            "min_value": -108.0000000000001,
+            "min_value": -108.00000000000009,
             "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
                        0.4082482902009554, -0.4082482899796638, 0.408248290726512],
             "starts": 16, "converged_starts": 16, "rng_seed": 2}, "c8e55c1c53d7de94"),
@@ -206,7 +213,7 @@ class TestSphereMin:
                        0.4999999999880002],
             "starts": 16, "converged_starts": 16, "rng_seed": 1}, "a4ebb31b1b37ec50"),
         (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 13, {
-            "min_value": -108.0000000000001,
+            "min_value": -108.00000000000009,
             "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
                        0.4082482902009554, -0.4082482899796638, 0.408248290726512],
             "starts": 16, "converged_starts": 16, "rng_seed": 2}, "3e440ef295bfe377"),
@@ -216,11 +223,11 @@ class TestSphereMin:
                        0.4999999999880002],
             "starts": 16, "converged_starts": 16, "rng_seed": 1}, "5bcb0213587fcad0"),
         (CirculantSpec(10, 5, 5, (1, 1, 1, 1, 1)), 2, 40, {
-            "min_value": 6.973588373426765e-16,
+            "min_value": 0.0,
             "argmin": [0.7071067811865475, -0.7071067811865475, 0.0, 0.0, 0.0],
             "starts": 16, "converged_starts": 16, "rng_seed": 2}, "346af62f83f2451a"),
         (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 40, {
-            "min_value": -108.0000000000001,
+            "min_value": -108.00000000000009,
             "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
                        0.4082482902009554, -0.4082482899796638, 0.408248290726512],
             "starts": 16, "converged_starts": 16, "rng_seed": 2}, "7c9406003d1b6776"),
@@ -391,57 +398,6 @@ class TestBatchedKernels:
         tail = points[-len(patterns):]
         for row, p in zip(tail, patterns):
             assert np.allclose(row, np.array(p) / math.sqrt(sum(t * t for t in p)), atol=1e-15)
-
-
-def _twin_case(rng):
-    """A generating vector (float, int or Fraction entries) and a float point
-    with signed zeros, underflowing and overflowing coordinates mixed in."""
-    m, n = rng.randint(2, 12), rng.randint(2, 7)
-    length = (n - 1) * m + 1
-    kind = rng.choice(("float", "int", "fraction", "huge"))
-    if kind == "float":
-        v = [rng.uniform(-2.0, 2.0) for _ in range(length)]
-    elif kind == "int":
-        v = [rng.randint(-5, 5) for _ in range(length)]
-    elif kind == "fraction":
-        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(length)]
-    else:
-        v = [rng.choice((-1.0, 1.0)) * 1e300 for _ in range(length)]
-    x = []
-    for _ in range(n):
-        pick = rng.random()
-        if pick < 0.15:
-            x.append(rng.choice((0.0, -0.0)))
-        elif pick < 0.3:
-            x.append(rng.uniform(-1.0, 1.0) * 1e-200)  # its powers underflow
-        elif pick < 0.35:
-            x.append(rng.uniform(-1.0, 1.0) * 1e100)  # its powers overflow
-        else:
-            x.append(rng.uniform(-1.0, 1.0))
-    return GeneratingVector(m, n, tuple(v)), tuple(x)
-
-
-class TestFloatEvaluation:
-    """``oracle._eval_float``, the numpy twin of ``eval_fast`` behind min_value."""
-
-    def test_is_eval_fast_bitwise(self):
-        rng = random.Random(11)
-        finite = 0
-        for _ in range(1500):
-            gen, x = _twin_case(rng)
-            ours, ref = oracle._eval_float(gen, x), eval_fast(gen, x)
-            assert type(ours) is float
-            assert repr(ours) == repr(float(ref))
-            if not math.isnan(ours):
-                finite += 1
-                assert ours == ref
-        assert finite >= 1000
-
-    def test_overflow_is_nan_as_in_eval_fast(self):
-        gen = GeneratingVector(60, 4, tuple(1e307 * (1 + 0.001 * ((37 * k) % 11)) for k in range(181)))
-        x = (0.5358211478638143, 0.692704122545054, -0.4502878632004412, 0.17406187510587207)
-        assert math.isnan(oracle._eval_float(gen, x))
-        assert math.isnan(eval_fast(gen, x))
 
 
 class TestJacobi:

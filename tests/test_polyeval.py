@@ -1,19 +1,23 @@
 """Tests for polynomial evaluation: the coefficient kernel, fast/naive agreement, residues."""
 
 import math
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anticirculant import oracle, polyeval
+from anticirculant import polyeval
 from anticirculant.combinatorics import residue_sum_table
 from anticirculant.polyeval import (
     cyclic_power,
+    eval_exact,
     eval_fast,
     eval_naive,
     residue_components,
+    rounded,
     value_and_gradient,
 )
 from anticirculant.tensor import (
@@ -356,6 +360,22 @@ def _dot_profile(gen, x):
     return sum(a * b for a, b in zip(gen.v, profile(x, gen.m)))
 
 
+def _direct_convolution(gen, x):
+    """f(x) in float64 by direct convolution powers of x: each product adds
+    ``a[i] * x[j]`` into entry i + j for the nonzero x[j], j from n - 1 down
+    to 0; then v is dotted with the profile from s = 0 up."""
+    x = [float(t) for t in x]
+    a = x
+    for _ in range(gen.m - 1):
+        out = [0.0] * (len(a) + len(x) - 1)
+        for j in range(len(x) - 1, -1, -1):
+            if x[j] != 0.0:
+                for i, t in enumerate(a):
+                    out[i + j] += t * x[j]
+        a = out
+    return sum(map(operator.mul, gen.v, a))
+
+
 def _exact_type(gen, x):
     """The type of an exact f(x): Fraction if some entry of v is one, or if x
     is nonzero and some entry of x is one; else int."""
@@ -480,8 +500,8 @@ class TestResidueRoute:
 
     def test_float_input_is_the_profile_bitwise(self):
         # any float entry makes the evaluation float64 at r = L: all-float
-        # input is bitwise the numpy twin, mixed input the evaluation at x
-        # converted to float
+        # input is bitwise a direct convolution, mixed input the evaluation
+        # at x converted to float
         rng = random.Random(11)
         for _ in range(400):
             gen, x = _exact_case(rng)
@@ -496,9 +516,18 @@ class TestResidueRoute:
             if where == "all":
                 gen = GeneratingVector(gen.m, gen.n, [float(t) + rng.uniform(-0.5, 0.5) for t in gen.v])
                 x = tuple(float(t) + rng.uniform(-0.5, 0.5) for t in x)
-                assert repr(eval_fast(gen, x)) == repr(oracle._eval_float(gen, x))
+                assert repr(eval_fast(gen, x)) == repr(_direct_convolution(gen, x))
             else:
                 assert repr(eval_fast(gen, x)) == repr(_dot_profile(gen, tuple(map(float, x))))
+
+    @pytest.mark.parametrize("v", [(1, 0, 1), (Fraction(1, 3), 0, 1), (1.0, 0.0, 1.0)])
+    def test_float_zero_point_gives_a_float(self, v):
+        # every product is skipped at a zero point; a float entry still makes
+        # the value float64
+        gen = GeneratingVector(2, 2, v)
+        for x in ((0.0, -0.0), (0, 0.0)):
+            assert repr(eval_fast(gen, x)) == "0.0"
+            assert repr(value_and_gradient(gen, x)[0]) == "0.0"
 
     def test_float_input_is_never_folded(self, monkeypatch):
         seen = _recorded_periods(monkeypatch)
@@ -555,3 +584,77 @@ class TestResidueRoute:
             brute = next((r for r in range(1, cap + 1) if keys[r:] == keys[:-r]), None)
             assert polyeval._repeat(keys, cap) == brute
 
+
+
+def _mixed_case(rng):
+    """A generating vector and a point mixing float, int, Fraction and bool
+    entries, with v near 1e300 and x near 1e-200, signed zeros included;
+    small enough for ``eval_naive``."""
+    m, n = rng.randint(2, 6), rng.randint(2, 4)
+
+    def number(kind):
+        if kind == "float":
+            return rng.uniform(-2.0, 2.0)
+        if kind == "int":
+            return rng.randint(-5, 5)
+        if kind == "fraction":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        if kind == "bool":
+            return rng.random() < 0.5
+        if kind == "huge":
+            return rng.uniform(-1.0, 1.0) * 1e300
+        if kind == "tiny":
+            return rng.uniform(-1.0, 1.0) * 1e-200
+        return rng.choice((0.0, -0.0))
+
+    kinds = ("float", "int", "fraction", "bool", "huge", "tiny", "zero")
+    v_kinds = rng.sample(kinds, rng.randint(1, 3))
+    x_kinds = rng.sample(kinds, rng.randint(1, 3))
+    if rng.random() < 0.5:  # a repeating seed, as a spec expands
+        r = rng.randint(1, max_circulant_index(n))
+        seed = [number(rng.choice(v_kinds)) for _ in range(r)]
+        v = [seed[s % r] for s in range(genvec_length(m, n))]
+    else:
+        v = [number(rng.choice(v_kinds)) for _ in range(genvec_length(m, n))]
+    x = tuple(number(rng.choice(x_kinds)) for _ in range(n))
+    return GeneratingVector(m, n, v), x
+
+
+class TestExactEvaluation:
+    """``eval_exact``: f(x) as one integer over one denominator."""
+
+    def test_equals_naive_on_fractions(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            gen, x = _mixed_case(rng)
+            as_fractions = GeneratingVector(gen.m, gen.n, [Fraction(t) for t in gen.v])
+            value = eval_exact(gen, x)
+            assert type(value) is Fraction
+            assert value == eval_naive(as_fractions, tuple(Fraction(t) for t in x))
+
+    def test_exact_where_float64_overflows(self):
+        gen = GeneratingVector(60, 4, tuple(1e307 * (1 + 0.001 * ((37 * k) % 11)) for k in range(181)))
+        x = (0.5358211478638143, 0.692704122545054, -0.4502878632004412, 0.17406187510587207)
+        assert math.isnan(eval_fast(gen, x))
+        as_fractions = GeneratingVector(60, 4, [Fraction(t) for t in gen.v])
+        value = eval_exact(gen, x)
+        assert value == _dot_profile(as_fractions, tuple(map(Fraction, x)))
+        assert rounded(value) == -6.629662731171532e307
+
+    def test_period_is_found_by_value(self, monkeypatch):
+        seen = _recorded_periods(monkeypatch)
+        seed = (Fraction(1, 3), 2, Fraction(-5, 7), 4, 1, 0)
+        # equal values held as distinct objects, and a float seed: r = 6, r = 2
+        gen = GeneratingVector(4, 5, [seed[s % 6] + 0 for s in range(17)])
+        assert eval_exact(gen, (1, 2, 0, -1, 3)) == _dot_profile(gen, (1, 2, 0, -1, 3))
+        eval_exact(expand(CirculantSpec(20, 6, 2, (1e306, -1.2e306))), (1, 1, 0, 0, 0, 0))
+        # no period below the length: r = L
+        eval_exact(GeneratingVector(4, 3, (0,) * 8 + (1,)), (0.5, 0.25, -1.0))
+        assert seen == [6, 2, 9]
+
+    def test_rounded_clamps_past_float64(self):
+        big = sys.float_info.max
+        assert rounded(Fraction(1, 3)) == 1 / 3
+        assert rounded(10**400) == big
+        assert rounded(-Fraction(10**400, 3)) == -big
+        assert rounded(-2.5) == -2.5
