@@ -348,24 +348,17 @@ def _hankel_eigenvector(gen: GeneratingVector) -> WitnessVector:
 
 
 def _find_witness(case, gen, tol, evidence_starts, rng_seed):
-    """The first canonical witness whose value clears the margin and, in
-    float64, its rounding bound; else the first of those candidates, the
-    sphere argmin and (m = 2) the Hankel eigenvector, most negative value
-    first, that is negative in exact arithmetic, with that value rounded once.
+    """The first canonical witness whose value, rounded once, is finite and
+    clears the margin; else the first of those candidates, the sphere argmin
+    and (m = 2) the Hankel eigenvector, most negative value first, that is
+    negative in exact arithmetic, with that value rounded once.  A rounded
+    value below the negative margin is the rounding of a negative f(x).
     """
-    scale = gen.max_abs()
-    threshold = -WITNESS_REL_MARGIN * scale
-    # barring underflow, float64 rounding moves f(x) by at most k ulps of
-    # scale * (sum_i |x_i|)**m, with k operations in a chain
-    k = (gen.m - 1) * gen.n + len(gen.v) + 1
-    log_bound = math.log(k * sys.float_info.epsilon) + math.log(scale)
+    threshold = -WITNESS_REL_MARGIN * gen.max_abs()
     tried = []
     for candidate in _witness_candidates(case, gen, tol):
-        f = eval_fast(gen, candidate.x)
-        value = rounded(f)
-        if value < threshold and math.isfinite(value) and (type(f) is not float or (
-            math.log(-value) > log_bound + gen.m * math.log(math.fsum(map(abs, candidate.x)))
-        )):
+        value = rounded(eval_fast(gen, candidate.x))
+        if value < threshold and math.isfinite(value):
             return candidate, value
         tried.append((candidate, value))
     from . import oracle as oracle_mod
@@ -379,7 +372,7 @@ def _find_witness(case, gen, tol, evidence_starts, rng_seed):
     if gen.m == 2:
         candidate = _hankel_eigenvector(gen)
         tried.append((candidate, eval_fast(gen, candidate.x)))
-    tried.sort(key=lambda item: (math.isnan(item[1]), item[1]))
+    tried.sort(key=lambda item: item[1])
     for candidate, _ in tried:
         value = eval_exact(gen, candidate.x)
         if value < 0:

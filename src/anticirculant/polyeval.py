@@ -13,11 +13,12 @@ of ``p**m`` modulo ``z**r - 1``.  If v repeats with period r, f is their
 dot product with ``v[:r]``.  Every v repeats with its length
 ``L = (n-1)*m + 1``, where nothing wraps and the r coefficients are the
 whole profile.  Exact input takes the smallest period of v up to
-``max(n, 2n - 4)``, which every expanded spec has.  Float input runs at
-r = L, in a direct convolution's order.  ``eval_exact`` runs the kernel in
-int arithmetic on v and x scaled to integers: every float64 is a dyadic
-rational.  The sphere search's batch kernel (``oracle``) evaluates the same
-residue sums at roots of unity.
+``max(n, 2n - 4)``, which every expanded spec has.  Input with a float
+entry is evaluated exactly and rounded once: every float64 is a dyadic
+rational, so v and x are scaled to integers and the kernel runs in int
+arithmetic at a period of the scaled v.  ``eval_exact`` gives that value
+unrounded.  The sphere search's batch kernel (``oracle``) evaluates the
+same residue sums at roots of unity.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .tensor import (
     max_circulant_index,
 )
 
-#: Entry types whose arithmetic is exact; any other type is evaluated in float64.
+#: Entry types whose arithmetic is exact; any other type makes ``eval_fast`` round to float64.
 _EXACT_TYPES = frozenset((int, bool, Fraction))
 
 
@@ -120,14 +121,18 @@ def eval_fast(gen: GeneratingVector, x):
     the same objects, as ``expand`` makes them.  The value is exact, and a
     Fraction exactly when the profile's sum would be one (some entry of v
     is, or x is nonzero and some entry of x is).  Any other entry makes the
-    evaluation float64: x is converted to float and r = L, and the value is
-    a float even where every product is skipped, as at a zero point.
+    value a float: ``eval_exact(gen, x)`` rounded once to float64, so
+    correctly rounded, and ``±inf`` past float64.
     """
     _check_dim(gen, x)
     v, m = gen.v, gen.m
     v_types, x_types = set(map(type, v)), set(map(type, x))
     if not _EXACT_TYPES.issuperset(v_types | x_types):
-        return float(_dot(v, cyclic_power(tuple(map(float, x)), m, len(v))))
+        numerator, denominator = _exact_ratio(gen, x)
+        try:
+            return numerator / denominator  # int true division rounds once
+        except OverflowError:
+            return math.inf if numerator > 0 else -math.inf
     r = _period(v, max_circulant_index(gen.n), Fraction in v_types) or len(v)
     value = _dot(v[:r], cyclic_power(x, m, r))
     if type(value) is int and (Fraction in v_types or (Fraction in x_types and any(x))):
@@ -142,15 +147,40 @@ def _scaled(values):
     return [num * (d // den) for num, den in ratios], d
 
 
+def _int_form(gen: GeneratingVector):
+    """``(V, d, r)``: one period ``V = v[:r] * d`` of v as ints, d the lcm of
+    v's denominators.
+
+    r is v's smallest period by object identity up to ``max(n, 2n - 4)``, as
+    ``expand`` repeats its seed objects; failing that, the smallest period of
+    the scaled ints by value, else L.  v is immutable, so the form is
+    computed once per instance and kept on it.
+    """
+    form = gen.__dict__.get("_int_form")
+    if form is None:
+        v = gen.v
+        r = _repeat(tuple(map(id, v)), max_circulant_index(gen.n))
+        scaled, d = _scaled(v[:r])  # all of v if r is None
+        r = r or _repeat(scaled, len(v) - 1) or len(v)
+        form = scaled[:r], d, r
+        object.__setattr__(gen, "_int_form", form)
+    return form
+
+
+def _exact_ratio(gen: GeneratingVector, x):
+    """f(x) as ``(numerator, denominator)`` ints, denominator positive."""
+    scaled_v, dv, r = _int_form(gen)
+    scaled_x, dx = _scaled(x)
+    return _dot(scaled_v, cyclic_power(scaled_x, gen.m, r)), dv * dx**gen.m
+
+
 def eval_exact(gen: GeneratingVector, x) -> Fraction:
     """f(x) exactly, for finite int, bool, Fraction or float entries: with
-    ``V, d_v = _scaled(v)``, ``X, d_x = _scaled(x)`` and r the smallest period
-    of V (or L), ``sum_k V[k] * cyclic_power(X, m, r)[k] / (d_v * d_x**m)``."""
+    ``(V, d_v, r)`` one period of v scaled to ints (``_int_form``) and
+    ``X, d_x = _scaled(x)``,
+    ``sum_k V[k] * cyclic_power(X, m, r)[k] / (d_v * d_x**m)``."""
     _check_dim(gen, x)
-    v, dv = _scaled(gen.v)
-    xs, dx = _scaled(x)
-    r = _repeat(v, len(v) - 1) or len(v)
-    return Fraction(_dot(v[:r], cyclic_power(xs, gen.m, r)), dv * dx**gen.m)
+    return Fraction(*_exact_ratio(gen, x))
 
 
 def rounded(value) -> float:
@@ -183,19 +213,22 @@ def eval_naive(gen: GeneratingVector, x, cap: int = DENSE_CAP_DEFAULT):
 
 
 def value_and_gradient(gen: GeneratingVector, x):
-    """``eval_fast(gen, x)`` and the gradient of f at x, in the same arithmetic.
+    """``eval_fast(gen, x)`` and the gradient of f at x.
 
     With ``d = cyclic_power(x, m - 1, width)``, the whole order-(m-1)
     profile of ``width = (n-1)*(m-1) + 1`` entries,
-    ``grad_i = m * sum_u d[u] * v[u + i - 1]``.
+    ``grad_i = m * sum_u d[u] * v[u + i - 1]``.  Exact input gives an exact
+    gradient.  Any float entry makes the gradient float64, computed from x
+    converted to float, while the value is exactly rounded as in
+    ``eval_fast``.
     """
     _check_dim(gen, x)
     m, v = gen.m, gen.v
-    if not _EXACT_TYPES.issuperset(set(map(type, v)) | set(map(type, x))):
-        x = tuple(map(float, x))
+    floats = not _EXACT_TYPES.issuperset(set(map(type, v)) | set(map(type, x)))
     width = len(v) - gen.n + 1
-    d = cyclic_power(x, m - 1, width)
-    return eval_fast(gen, x), tuple(m * _dot(d, v[i : i + width]) for i in range(gen.n))
+    d = cyclic_power(tuple(map(float, x)) if floats else x, m - 1, width)
+    grad = tuple(m * _dot(d, v[i : i + width]) for i in range(gen.n))
+    return eval_fast(gen, x), tuple(map(float, grad)) if floats else grad
 
 
 def residue_components(spec: CirculantSpec, x) -> tuple:

@@ -23,7 +23,8 @@ from anticirculant.classifier import (
     verify_power_sum,
 )
 from anticirculant.oracle import SplitMix64, matrix_psd, sphere_min
-from anticirculant.polyeval import eval_exact, eval_fast
+from anticirculant import polyeval
+from anticirculant.polyeval import cyclic_power, eval_exact, eval_fast
 from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 
@@ -287,16 +288,34 @@ class TestExactArbiter:
         assert below_margin >= 10
 
     def test_float_value_inside_its_rounding_bound_is_not_a_witness(self):
-        # at this alpha witness the float64 value cancels to -0.6875 while
-        # the exact value is about +1.70
+        # at this alpha witness a float64 evaluation cancels to -0.6875, while
+        # the exact value is about +1.70: eval_fast rounds the exact value
         spec = CirculantSpec(6, 5, 4, (1.697658410866139, -1.697658410869975) * 2)
         gen = expand(spec)
         x = (256.0, 1.0, -256.0, 0.0, 0.0)
-        assert eval_fast(gen, x) < -WITNESS_REL_MARGIN * gen.max_abs()
+        assert eval_fast(gen, x) == float(eval_exact(gen, x))
         assert eval_exact(gen, x) > 1
         verdict = classify(spec)
         assert verdict.witness.x != x
         assert eval_exact(gen, verdict.witness.x) < 0
+
+    def test_alpha_witness_of_an_exact_spec_is_evaluated_at_the_period(self, monkeypatch):
+        # alpha witnesses have float coordinates; on an exact spec they are
+        # evaluated exactly at r = 4, not on the L-entry float profile
+        seen = []
+
+        def recording(x, m, r):
+            seen.append(r)
+            return cyclic_power(x, m, r)
+
+        monkeypatch.setattr(polyeval, "cyclic_power", recording)
+        spec = CirculantSpec(4, 20, 4, (44, Fraction(759, 25), 44, 33))
+        verdict = classify(spec)
+        assert verdict.status == Status.NOT_PSD
+        assert verdict.witness.label == "alpha(q=1, alpha=2.0)"
+        assert verdict.witness_value == float(eval_exact(expand(spec), verdict.witness.x))
+        assert verdict.witness_value == -272.8
+        assert set(seen) == {4}
 
 
 def _check(spec, rel_tol=1e-12):

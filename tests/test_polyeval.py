@@ -1,7 +1,6 @@
 """Tests for polynomial evaluation: the coefficient kernel, fast/naive agreement, residues."""
 
 import math
-import operator
 import random
 import sys
 from fractions import Fraction
@@ -360,22 +359,6 @@ def _dot_profile(gen, x):
     return sum(a * b for a, b in zip(gen.v, profile(x, gen.m)))
 
 
-def _direct_convolution(gen, x):
-    """f(x) in float64 by direct convolution powers of x: each product adds
-    ``a[i] * x[j]`` into entry i + j for the nonzero x[j], j from n - 1 down
-    to 0; then v is dotted with the profile from s = 0 up."""
-    x = [float(t) for t in x]
-    a = x
-    for _ in range(gen.m - 1):
-        out = [0.0] * (len(a) + len(x) - 1)
-        for j in range(len(x) - 1, -1, -1):
-            if x[j] != 0.0:
-                for i, t in enumerate(a):
-                    out[i + j] += t * x[j]
-        a = out
-    return sum(map(operator.mul, gen.v, a))
-
-
 def _exact_type(gen, x):
     """The type of an exact f(x): Fraction if some entry of v is one, or if x
     is nonzero and some entry of x is one; else int."""
@@ -499,9 +482,7 @@ class TestResidueRoute:
         assert min(routes.values()) >= 300
 
     def test_float_input_is_the_profile_bitwise(self):
-        # any float entry makes the evaluation float64 at r = L: all-float
-        # input is bitwise a direct convolution, mixed input the evaluation
-        # at x converted to float
+        # any float entry makes the value the exact profile sum rounded once
         rng = random.Random(11)
         for _ in range(400):
             gen, x = _exact_case(rng)
@@ -516,25 +497,35 @@ class TestResidueRoute:
             if where == "all":
                 gen = GeneratingVector(gen.m, gen.n, [float(t) + rng.uniform(-0.5, 0.5) for t in gen.v])
                 x = tuple(float(t) + rng.uniform(-0.5, 0.5) for t in x)
-                assert repr(eval_fast(gen, x)) == repr(_direct_convolution(gen, x))
-            else:
-                assert repr(eval_fast(gen, x)) == repr(_dot_profile(gen, tuple(map(float, x))))
+            value = eval_fast(gen, x)
+            as_fractions = GeneratingVector(gen.m, gen.n, [Fraction(t) for t in gen.v])
+            assert type(value) is float
+            assert value == float(eval_exact(gen, x))
+            assert value == float(_dot_profile(as_fractions, tuple(map(Fraction, x))))
 
     @pytest.mark.parametrize("v", [(1, 0, 1), (Fraction(1, 3), 0, 1), (1.0, 0.0, 1.0)])
     def test_float_zero_point_gives_a_float(self, v):
         # every product is skipped at a zero point; a float entry still makes
-        # the value float64
+        # the value and the gradient float64
         gen = GeneratingVector(2, 2, v)
         for x in ((0.0, -0.0), (0, 0.0)):
             assert repr(eval_fast(gen, x)) == "0.0"
-            assert repr(value_and_gradient(gen, x)[0]) == "0.0"
+            assert repr(value_and_gradient(gen, x)) == "(0.0, (0.0, 0.0))"
 
-    def test_float_input_is_never_folded(self, monkeypatch):
+    def test_float_input_is_folded_at_a_period(self, monkeypatch):
+        # v is scaled to ints once per instance, at its period by object
+        # identity, else by value, else r = L
+        x = (1, -1, 0, 0, 0, 0)
+        cases = [
+            (expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.25))), x),
+            (expand(CirculantSpec(8, 6, 4, (1, 2, 1, 2))), (0.5,) + x[1:]),
+            (GeneratingVector(4, 3, [0.5 * (s % 2 + 1) for s in range(9)]), (1, -1, 2)),
+            (GeneratingVector(4, 3, (0.5,) * 8 + (1.0,)), (1, -1, 2)),
+        ]
         seen = _recorded_periods(monkeypatch)
-        gen = expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)))
-        eval_fast(gen, (1, -1, 0, 0, 0, 0))
-        eval_fast(expand(CirculantSpec(8, 6, 4, (1, 2, 1, 2))), (0.5, -1, 0, 0, 0, 0))
-        assert seen == [len(gen.v)] * 2
+        values = [eval_fast(gen, x) for gen, x in cases]
+        assert seen == [4, 2, 2, 9]
+        assert values == [float(eval_exact(gen, x)) for gen, x in cases]
 
     def test_periodic_exact_input_takes_the_residue_route(self, monkeypatch):
         seen = _recorded_periods(monkeypatch)
@@ -635,7 +626,7 @@ class TestExactEvaluation:
     def test_exact_where_float64_overflows(self):
         gen = GeneratingVector(60, 4, tuple(1e307 * (1 + 0.001 * ((37 * k) % 11)) for k in range(181)))
         x = (0.5358211478638143, 0.692704122545054, -0.4502878632004412, 0.17406187510587207)
-        assert math.isnan(eval_fast(gen, x))
+        assert eval_fast(gen, x) == float(eval_exact(gen, x))
         as_fractions = GeneratingVector(60, 4, [Fraction(t) for t in gen.v])
         value = eval_exact(gen, x)
         assert value == _dot_profile(as_fractions, tuple(map(Fraction, x)))
@@ -651,6 +642,37 @@ class TestExactEvaluation:
         # no period below the length: r = L
         eval_exact(GeneratingVector(4, 3, (0,) * 8 + (1,)), (0.5, 0.25, -1.0))
         assert seen == [6, 2, 9]
+
+    def test_float_input_is_the_exact_value_rounded_once(self, monkeypatch):
+        scalings = []
+
+        def counting(values):
+            scalings.append(len(values))
+            return scaled(values)
+
+        scaled = polyeval._scaled
+        monkeypatch.setattr(polyeval, "_scaled", counting)
+        rng = random.Random(13)
+        period_free = overflowed = 0
+        for _ in range(500):
+            gen, x = _mixed_case(rng)
+            if float not in set(map(type, gen.v + x)):
+                x = x[:-1] + (float(x[-1]),)
+            scalings.clear()
+            value = eval_fast(gen, x)
+            exact = eval_exact(gen, x)
+            assert eval_fast(gen, x) == value
+            # v once per instance, x on each of the three calls
+            assert len(scalings) == 4
+            assert type(value) is float
+            try:
+                assert value == float(exact)
+            except OverflowError:
+                assert value == (math.inf if exact > 0 else -math.inf)
+                overflowed += 1
+            period_free += polyeval._int_form(gen)[2] == len(gen.v)
+        assert overflowed >= 10
+        assert period_free >= 100
 
     def test_rounded_clamps_past_float64(self):
         big = sys.float_info.max
