@@ -24,14 +24,17 @@ for a degree-m form).  Every reduction stays within a row (``np.einsum``,
 never BLAS), so a row's numbers are bitwise the same whatever rows share its
 array.  The candidates are evaluated together, then all descents advance in
 lockstep, each row with its own step size, line search and stopping rules.
-Each iteration makes the first line-search trial on every live row at once.
-The rows it fails climb a doubling ladder of halvings: blocks of 1, 2, 4,
-... halving levels, each block tried at every level in one kernel call, and
-a row takes the first level that hits, as a one-at-a-time search would.
-The live arrays are compacted only in iterations where some row stops.  The
-candidate rows (a function of n), the start matrix (a function of n,
-starts and rng_seed) and ``W`` (a function of n and r) are built once per
-process and kept read-only.  The reported ``min_value`` is the exact value
+Each iteration tries a block of eight step sizes s on every live row at
+once.  P is linear in x, so ``y = (x - s * grad) / |x - s * grad|`` has
+``P = (P_x - s * P_g) / |x - s * grad|`` with ``P_g = grad @ W``: one
+broadcast gives f at every step size of the block, with no kernel call per
+step size.  A row moves to the lowest of the values that decrease f; the rows
+that no step of the block decreases try the further halvings in doubling
+blocks.  At the new point the kernel recomputes P, f and grad.  The live
+arrays are compacted only in iterations where some row stops.  The
+candidate rows (a function of n), the start matrix (a function of n, starts
+and rng_seed) and ``W`` (a function of n and r) are built once per process
+and kept read-only.  The reported ``min_value`` is the exact value
 of f at ``argmin`` (``polyeval.eval_exact``), rounded once to float64 and
 clamped to ``±sys.float_info.max`` past it, so float cancellation in the
 search's own values never reaches it; if no point has a finite float64
@@ -72,7 +75,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-#: Initial line-search step and maximum halvings per descent step.
+#: Initial line-search step and maximum halvings of twice the last step.
 ETA0 = 0.1
 MAX_HALVINGS = 40
 MAX_ITERATIONS = 10_000
@@ -84,8 +87,11 @@ PLATEAU_TOL = 1e-14
 #: without changing any verdict-relevant digit).
 COARSE_TOL = 1e-9
 COARSE_WINDOW = 30
-#: Upper bound on the adaptive step size (the line search halves from here).
+#: Upper bound on every step size the line search tries.
 ETA_MAX = 1e12
+#: Step sizes per line-search block: twice the row's last step times 16, 8,
+#: ..., 1/8, the last three of them halvings.
+BLOCK = 8
 
 
 class SplitMix64:
@@ -148,7 +154,7 @@ def _roots(n: int, r: int) -> np.ndarray:
 
 
 def _values_and_gradients(x: np.ndarray, spectrum, m: int):
-    """f and its gradient for every row of x.
+    """f, its gradient and ``P`` for every row of x.
 
     With ``P = x @ W`` the values of the point's polynomial at the r-th roots
     of unity, ``grad = m * Re((c * P**(m-1)) @ W^T)`` and, by Euler's identity
@@ -159,7 +165,7 @@ def _values_and_gradients(x: np.ndarray, spectrum, m: int):
     c, w = spectrum
     p = np.einsum("bi,ik->bk", x.astype(complex), w)
     g = np.einsum("bk,ik->bi", c * p ** (m - 1), w).real
-    return np.einsum("bi,bi->b", x, g), m * g
+    return np.einsum("bi,bi->b", x, g), m * g, p
 
 
 def eval_rows(gen: GeneratingVector, x: np.ndarray) -> np.ndarray:
@@ -192,85 +198,106 @@ def _start_matrix(n: int, starts: int, rng_seed: int) -> np.ndarray:
     return x
 
 
-def _step(spectrum, m: int, x, f, grad, eta):
-    """``(y, f(y), grad f(y), hit)`` for the normalized points
-    ``y = x - eta * grad``; ``hit`` marks the rows where y decreases f.
+def _power(z: np.ndarray, m: int) -> np.ndarray:
+    """``z**m`` by repeated squaring, a few whole-array products where
+    numpy's complex power runs its own loop per element."""
+    out = None
+    while True:
+        if m & 1:
+            out = z if out is None else out * z
+        m >>= 1
+        if not m:
+            return out
+        z = z * z
 
-    ``eta`` holds one step size per row of x, or a ``(levels, rows)`` block
-    of them; then every row steps at every level, and the results carry
-    the leading ``levels`` axis.
+
+def _block_values(spectrum, m: int, x, grad, p, pg, steps):
+    """``(y, norm, f)``: the points ``y = x - s * grad`` for every step size
+    s of the ``(levels, rows)`` block ``steps``, their norms, and f at the
+    normalized points.
+
+    P is linear in x: with ``P_g = grad @ W``, ``y / norm`` has
+    ``P = (p - s * P_g) / norm``, so the whole block costs one broadcast and
+    no kernel call.
     """
-    y = x - eta[..., None] * grad
-    rows = y.reshape(-1, y.shape[-1])  # a view: normalizing y normalizes rows
-    norm = np.sqrt(np.einsum("bi,bi->b", rows, rows)).reshape(eta.shape)
-    y /= norm[..., None]
-    fy, gy = _values_and_gradients(rows, spectrum, m)
-    fy = fy.reshape(eta.shape)
-    return y, fy, gy.reshape(y.shape), (norm != 0.0) & np.isfinite(norm) & (fy < f)
+    y = x - steps[..., None] * grad
+    norm = np.sqrt(np.einsum("lbi,lbi->lb", y, y))
+    py = (p - steps[..., None] * pg) * (1.0 / norm)[..., None]
+    return y, norm, np.einsum("lbk,k->lb", _power(py, m), spectrum[0]).real
+
+
+def _line_search(spectrum, m: int, x, f, grad, p, pg, steps):
+    """``(moved, y, s)``: per row, whether a step size of the ``(levels,
+    rows)`` block ``steps`` decreases f; the step s with the lowest f among
+    those that do (ties: the earlier level); and the normalized point
+    ``x - s * grad``, or x where no step decreases f.
+    """
+    y, norm, fy = _block_values(spectrum, m, x, grad, p, pg, steps)
+    fy[~((norm != 0.0) & np.isfinite(norm) & (fy < f))] = np.inf
+    best = fy.argmin(axis=0)  # the earliest of equal minima
+    cols = np.arange(len(best))
+    moved = fy[best, cols] < np.inf
+    y = np.where(moved[:, None], y[best, cols] / norm[best, cols, None], x)
+    return moved, y, steps[best, cols]
 
 
 def _descend_rows(spectrum, m: int, x: np.ndarray):
     """Projected gradient descent from every row of x, in lockstep.
 
-    Returns per-row ``(f, x, converged)`` arrays.  A row stops when no step
-    decreases f at line-search resolution, when one step decreases f by less
-    than PLATEAU_TOL, or when a COARSE_WINDOW of steps decreases it by less
-    than COARSE_TOL per step; a row still moving after MAX_ITERATIONS is not
-    converged.
+    Returns per-row ``(f, x, converged)`` arrays.  Each iteration tries the
+    BLOCK step sizes ``2 * eta * 2**k``, k = 4, 3, ..., -3, capped at
+    ETA_MAX, in one ``_line_search``, where eta is the row's last step size,
+    and moves the row to the lowest value among the steps that decrease f.  A
+    row that no step of the block decreases tries the further halvings in
+    blocks of 16, 32, ... levels, up to MAX_HALVINGS halvings of ``2 * eta``,
+    and keeps its point if none decreases f.  At the new point the kernel
+    recomputes f, its gradient and P, so the block's rounding never carries
+    over.  A row stops when no step decreases f, when one step decreases f
+    by less than PLATEAU_TOL, or when a COARSE_WINDOW of steps decreases it
+    by less than COARSE_TOL per step; a row still moving after
+    MAX_ITERATIONS is not converged.
     """
     f_out = np.empty(len(x))
     x_out = np.empty_like(x)
     converged = np.ones(len(x), dtype=bool)
     live = np.arange(len(x))
-    f, grad = _values_and_gradients(x, spectrum, m)
+    f, grad, p = _values_and_gradients(x, spectrum, m)
     eta = np.full(len(x), ETA0)
     checkpoint = f
+    # Multiples of 2 * eta, 16, 8, ..., 2**-MAX_HALVINGS: the block, then
+    # every further halving.
+    ladder = 2.0 ** np.arange(4.0, -MAX_HALVINGS - 1, -1)[:, None]
     for iteration in range(1, MAX_ITERATIONS + 1):
         # Carry each row's last successful step size forward and let it grow;
         # on degenerate minima the useful step size diverges, and resetting to
         # ETA0 every iteration would trap the descent in a power-law tail.
-        trial = np.minimum(eta * 2.0, ETA_MAX)
-        y, fy, gy, hit = _step(spectrum, m, x, f, grad, trial)
-        eta = np.where(hit, trial, eta)
-        pending = (~hit).nonzero()[0]
-        if pending.size:
-            # Rows that missed keep their point unless a halved step hits.
-            xp, fp, gp, tp = x[pending], f[pending], grad[pending], trial[pending]
-            fy[pending], y[pending], gy[pending] = fp, xp, gp
-            # Try the halvings in blocks of 1, 2, 4, ... levels, each block
-            # in one step; a row takes the first level that hits, which is
-            # the step a one-halving-at-a-time search would take.
-            done, size = 0, 1
-            while done < MAX_HALVINGS:
-                size = min(size, MAX_HALVINGS - done)
-                levels = np.empty((size, pending.size))
-                levels[0], levels[1:] = tp * 0.5, 0.5
-                np.multiply.accumulate(levels, out=levels)  # repeated halving
-                yb, fb, gb, hb = _step(spectrum, m, xp, fp, gp, levels)
-                found = np.logical_or.reduce(hb)
-                cols = found.nonzero()[0]
-                first, rows = hb.argmax(axis=0)[cols], pending[cols]
-                fy[rows], y[rows], gy[rows] = fb[first, cols], yb[first, cols], gb[first, cols]
-                eta[rows] = levels[first, cols]
-                if cols.size == pending.size:
-                    break
-                missed = ~found
-                pending, xp, fp, gp = pending[missed], xp[missed], fp[missed], gp[missed]
-                tp = levels[-1, missed]
-                done, size = done + size, 2 * size
+        pg = np.einsum("bi,ik->bk", grad.astype(complex), spectrum[1])
+        steps = np.minimum(2.0 * eta * ladder[:BLOCK], ETA_MAX)
+        moved, y, s = _line_search(spectrum, m, x, f, grad, p, pg, steps)
+        eta = np.where(moved, s, eta)
+        # Rows that no step of the block moves try the further halvings.
+        pending, done, size = (~moved).nonzero()[0], BLOCK, 2 * BLOCK
+        while pending.size and done < len(ladder):
+            steps = np.minimum(2.0 * eta[pending] * ladder[done : done + size], ETA_MAX)
+            moved, y[pending], s = _line_search(
+                spectrum, m, x[pending], f[pending], grad[pending], p[pending], pg[pending], steps
+            )
+            eta[pending[moved]] = s[moved]
+            pending, done, size = pending[~moved], done + size, 2 * size
+        fy, grad, p = _values_and_gradients(y, spectrum, m)
         # Stop where f fell by less than PLATEAU_TOL.  A row that found no
-        # decreasing step kept fy = f and stops here too; the negated >= also
-        # stops rows whose value is NaN.
+        # decreasing step kept its point and stops here too; the negated >=
+        # also stops rows whose value is NaN.
         scale = 1.0 + np.abs(fy)
         stop = ~(f - fy >= PLATEAU_TOL * scale)
         if iteration % COARSE_WINDOW == 0:
             stop |= checkpoint - fy < COARSE_WINDOW * COARSE_TOL * scale
             checkpoint = fy
-        x, f, grad = y, fy, gy
+        x, f = y, fy
         if stop.any():
             f_out[live[stop]], x_out[live[stop]] = f[stop], x[stop]
             go = ~stop
-            live, x, f, grad = live[go], x[go], f[go], grad[go]
+            live, x, f, grad, p = live[go], x[go], f[go], grad[go], p[go]
             eta, checkpoint = eta[go], checkpoint[go]
             if not live.size:
                 break

@@ -420,6 +420,24 @@ class TestStrongHankel:
         jacobi = matrix_psd(hankel_matrix(expand(spec)).a).min_eigenvalue
         assert verdict.strong_hankel.matrix_eigen_floor <= jacobi
 
+    @pytest.mark.parametrize("subject", [
+        CirculantSpec(6, 5, 4, (3, Fraction(1, 3), 3, Fraction(1, 3))),
+        CirculantSpec(8, 6, 2, (5, -2)),
+        CirculantSpec(30, 5, 2, (1.0, -0.3)),
+        CirculantSpec(6, 5, 4, (1.0, -0.9, 1.0, -0.95)),
+        GeneratingVector(4, 3, (1.0, 0.5, 1.0, 0.5000001, 1.0, 0.5, 0.9999, 0.5, 1.0)),
+    ])
+    def test_residual_is_the_maximum_over_every_entry(self, subject):
+        # the check visits each distinct object once, which gives the max
+        # over all L entries, for the verdict's certificate and a wrong one
+        gen = subject if isinstance(subject, GeneratingVector) else expand(subject)
+        for cert in (power_sum_certificate(gen, 0.0),
+                     Certificate(CertificateKind.POWER_SUM, v0=1.0, t=0.3)):
+            alpha, beta = cert.v0 * cert.t, cert.v0 * (1.0 - cert.t)
+            expected = max(max(abs(float(t) - (alpha + beta)) for t in gen.v[0::2]),
+                           max(abs(float(t) - (alpha - beta)) for t in gen.v[1::2]))
+            assert strong_hankel_check(gen, cert).residual == expected
+
     def test_wrong_certificate_raises_in_classify(self, monkeypatch):
         def wrong_t(gen, tol):
             return Certificate(CertificateKind.POWER_SUM, v0=float(gen.v[0]), t=0.5)

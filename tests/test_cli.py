@@ -13,6 +13,8 @@ import pytest
 
 import anticirculant
 from anticirculant.cli import main, parse_int_list, parse_number_list
+from anticirculant.polyeval import eval_exact
+from anticirculant.tensor import GeneratingVector
 
 
 def _no_constant(name):
@@ -377,8 +379,9 @@ def test_overflowing_min_value_is_exact(tmp_path):
     assert (proc.returncode, proc.stderr) == (4, "")
     payload = json.loads(proc.stdout, parse_constant=_no_constant)
     assert payload["status"] == "Uncovered"
-    assert payload["evidence"]["argmin"] is not None
-    assert payload["evidence"]["min_value"] == -6.629662731171532e307
+    argmin = tuple(payload["evidence"]["argmin"])
+    exact = eval_exact(GeneratingVector(60, 4, tuple(genvec)), argmin)
+    assert payload["evidence"]["min_value"] == float(exact) == -6.629662731171532e307
     assert len(payload["notes"]) == 1
 
 

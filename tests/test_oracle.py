@@ -114,8 +114,8 @@ class TestSphereMin:
         assert result.converged_starts == 8
 
     def test_converged_starts_counts_rows(self, monkeypatch):
-        # with the cap at 30 iterations only some of these descents stop in time
-        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 30)
+        # with the cap at 6 iterations only some of these descents stop in time
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 6)
         gen = expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)))
         spectrum = oracle._spectrum(gen)
         x0 = _starts(gen.n, 16)
@@ -146,14 +146,14 @@ class TestSphereMin:
     def test_cache_does_not_capture_the_iteration_cap(self, monkeypatch):
         gen = expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)))
         assert sphere_min(gen, starts=16).converged_starts == 16  # caches warm
-        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 30)
-        assert sphere_min(gen, starts=16).converged_starts == 6
+        monkeypatch.setattr(oracle, "MAX_ITERATIONS", 6)
+        assert sphere_min(gen, starts=16).converged_starts == 5
 
-    #: ``sphere_min(...).to_dict()`` as the lockstep loop of the
-    #: roots-of-unity kernel first produced it (numpy 2.4, x86_64), with
-    #: ``min_value`` re-recorded as the exact f(argmin) rounded once.  Every
-    #: spec has rows that take halvings; the last entry caps the iterations
-    #: at 30, so that some rows stop unconverged.
+    #: ``sphere_min(...).to_dict()`` as the block line search produced it
+    #: (numpy 2.4, x86_64), with ``min_value`` the exact f(argmin) rounded
+    #: once.  Every spec has rows that miss the block and take the further
+    #: halvings; the last entry caps the iterations at 30, so that some rows
+    #: stop unconverged.
     GOLDEN = [
         (CirculantSpec(6, 5, 6, (1.3,) * 6), 16, 0, None, {
             "min_value": 0.0,
@@ -164,19 +164,20 @@ class TestSphereMin:
             "argmin": [0.7071067811865475, 0.0, -0.7071067811865475, 0.0],
             "starts": 16, "converged_starts": 16, "rng_seed": 7}),
         (CirculantSpec(6, 5, 6, (1.0, -1.3) * 3), 16, 0, None, {
-            "min_value": -18.74110733252026,
-            "argmin": [0.4463821362176555, 0.44845789400861696, 0.44638213621765516,
-                       0.44845789400861696, 0.4463821362176555],
+            "min_value": -18.741107332520265,
+            "argmin": [0.44638213559167234, 0.4484578949384119, 0.4463821355969994,
+                       0.44845789492980964, 0.44638213560469936],
             "starts": 16, "converged_starts": 16, "rng_seed": 0}),
         (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 16, 3, None, {
-            "min_value": -38.40000000000002,
-            "argmin": [0.4999999994800991, -0.5000000026365007, 0.5000000009468265,
-                       -0.4999999969365739],
+            "min_value": -38.40000000000005,
+            "argmin": [-0.500000000506794, 0.5000000006494997, -0.4999999994817331,
+                       0.49999999936197354],
             "starts": 16, "converged_starts": 16, "rng_seed": 3}),
-        (CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)), 16, 0, 30, {
-            "min_value": 0.0,
-            "argmin": [0.7071067811865475, 0.0, -0.7071067811865475, 0.0, 0.0, 0.0],
-            "starts": 16, "converged_starts": 6, "rng_seed": 0}),
+        (CirculantSpec(8, 6, 5, (1, 0.9, 1.1, 1, 1.05)), 16, 0, 30, {
+            "min_value": -10.81261314985945,
+            "argmin": [-0.5142389383096952, 0.31745535644280265, 0.0035314951807448223,
+                       -0.3201063041044256, 0.517552174294738, -0.5142369497508644],
+            "starts": 16, "converged_starts": 4, "rng_seed": 0}),
     ]
 
     @pytest.mark.parametrize("spec, starts, rng_seed, cap, expected", GOLDEN)
@@ -185,79 +186,106 @@ class TestSphereMin:
             monkeypatch.setattr(oracle, "MAX_ITERATIONS", cap)
         assert sphere_min(expand(spec), starts=starts, rng_seed=rng_seed).to_dict() == expected
 
-    #: As GOLDEN, recorded with the one-halving-at-a-time line search, at
-    #: three settings of MAX_HALVINGS: 3 and 13 end the halvings inside a
-    #: block of the doubling ladder (1 + 2 and 1 + 2 + 4 + 6 levels), and
-    #: every entry has rows that use up every halving.  The last field is a
-    #: digest of the descents' float64 ends ``(f, x, converged)``.
+    #: As GOLDEN, at three settings of MAX_HALVINGS: at 3 the block's own
+    #: three halvings are all there is, and 13 and 40 end the halvings inside
+    #: a cut block past it (8 + 10 and 8 + 16 + 21 levels).  Every entry has
+    #: rows that use up every halving.  The last field is a digest of the
+    #: descents' float64 ends ``(f, x, converged)``.
     LADDER_GOLDEN = [
-        (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 3, {
+        pytest.param(CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 3, {
             "min_value": -38.40000000000002,
-            "argmin": [-0.49999999934673767, 0.49999999998541683, -0.5000000008034016,
-                       0.4999999998644441],
-            "starts": 16, "converged_starts": 16, "rng_seed": 1}, "791eaa59e0a554ab"),
-        (CirculantSpec(4, 7, 3, (0.9, 1.4, 1.1)), 0, 3, {
-            "min_value": -4.537432990235784,
-            "argmin": [0.4811565942393324, -0.34776808808372994, -0.17829709778146907,
-                       0.4811565943988221, -0.34776808867596903, -0.17829709723346704,
-                       0.4811565929472536],
-            "starts": 16, "converged_starts": 16, "rng_seed": 0}, "2bc684508ee66d10"),
-        (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 3, {
-            "min_value": -108.00000000000009,
-            "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
-                       0.4082482902009554, -0.4082482899796638, 0.408248290726512],
-            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "c8e55c1c53d7de94"),
-        (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 13, {
+            "argmin": [0.499999999387228, -0.5000000017666378, 0.5000000005937547,
+                       -0.4999999982523796],
+            "starts": 16, "converged_starts": 16, "rng_seed": 1},
+            "767c0e17eb5dde69", id="8-4-4-seed1-halvings3"),
+        pytest.param(CirculantSpec(4, 7, 3, (0.9, 1.4, 1.1)), 0, 3, {
+            "min_value": -4.536866973292446,
+            "argmin": [0.48041356836596333, -0.3436126337155639, -0.1825743462971428,
+                       0.4813647361038809, -0.34888060263848236, -0.17661043829203799,
+                       0.48288594758975045],
+            "starts": 16, "converged_starts": 16, "rng_seed": 0},
+            "0957586cb23f0ef9", id="4-7-3-seed0-halvings3"),
+        pytest.param(CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 3, {
+            "min_value": -108.00000000000011,
+            "argmin": [0.40824829046375455, -0.4082482904640588, 0.40824829046147276,
+                       -0.408248290465049, 0.40824829046381694, -0.4082482904650265],
+            "starts": 16, "converged_starts": 16, "rng_seed": 2},
+            "2bb254232c248ca8", id="6-6-6-seed2-halvings3"),
+        pytest.param(CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 13, {
             "min_value": -38.400000000000034,
-            "argmin": [-0.5000000000061748, 0.5000000000194108, -0.4999999999864144,
-                       0.4999999999880002],
-            "starts": 16, "converged_starts": 16, "rng_seed": 1}, "a4ebb31b1b37ec50"),
-        (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 13, {
-            "min_value": -108.00000000000009,
-            "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
-                       0.4082482902009554, -0.4082482899796638, 0.408248290726512],
-            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "3e440ef295bfe377"),
-        (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 40, {
-            "min_value": -38.400000000000034,
-            "argmin": [-0.5000000000061748, 0.5000000000194108, -0.4999999999864144,
-                       0.4999999999880002],
-            "starts": 16, "converged_starts": 16, "rng_seed": 1}, "5bcb0213587fcad0"),
-        (CirculantSpec(10, 5, 5, (1, 1, 1, 1, 1)), 2, 40, {
+            "argmin": [0.499999999999741, -0.4999999999997898, 0.5000000000002789,
+                       -0.5000000000001906],
+            "starts": 16, "converged_starts": 16, "rng_seed": 1},
+            "b6e841a33793e5b4", id="8-4-4-seed1-halvings13"),
+        pytest.param(CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 13, {
+            "min_value": -108.0000000000001,
+            "argmin": [-0.4082482904638616, 0.40824829046386085, -0.4082482904638664,
+                       0.4082482904638655, -0.4082482904638615, 0.40824829046386263],
+            "starts": 16, "converged_starts": 16, "rng_seed": 2},
+            "9ca4337972aae9eb", id="6-6-6-seed2-halvings13"),
+        pytest.param(CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), 1, 40, {
+            "min_value": -38.40000000000003,
+            "argmin": [0.4999999999999611, -0.5000000000001124, 0.5000000000000379,
+                       -0.4999999999998889],
+            "starts": 16, "converged_starts": 16, "rng_seed": 1},
+            "bd4d2fd2991fcad4", id="8-4-4-seed1-halvings40"),
+        pytest.param(CirculantSpec(10, 5, 5, (1, 1, 1, 1, 1)), 2, 40, {
             "min_value": 0.0,
             "argmin": [0.7071067811865475, -0.7071067811865475, 0.0, 0.0, 0.0],
-            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "346af62f83f2451a"),
-        (CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 40, {
-            "min_value": -108.00000000000009,
-            "argmin": [-0.4082482912104795, 0.40824829050747813, -0.40824829015808967,
-                       0.4082482902009554, -0.4082482899796638, 0.408248290726512],
-            "starts": 16, "converged_starts": 16, "rng_seed": 2}, "7c9406003d1b6776"),
+            "starts": 16, "converged_starts": 16, "rng_seed": 2},
+            "acde53b2fac39f3a", id="10-5-5-seed2-halvings40"),
+        pytest.param(CirculantSpec(6, 6, 6, (1, 2, 1, 2, 1, 2)), 2, 40, {
+            "min_value": -108.0000000000001,
+            "argmin": [-0.4082482904638616, 0.40824829046386085, -0.4082482904638664,
+                       0.4082482904638655, -0.4082482904638615, 0.40824829046386263],
+            "starts": 16, "converged_starts": 16, "rng_seed": 2},
+            "ee29eea3930aebe1", id="6-6-6-seed2-halvings40"),
     ]
 
     @pytest.mark.parametrize("spec, rng_seed, halvings, expected, digest", LADDER_GOLDEN)
     def test_golden_halving_ladder(self, monkeypatch, spec, rng_seed, halvings, expected, digest):
         monkeypatch.setattr(oracle, "MAX_HALVINGS", halvings)
-        # Watch the ladder: an iteration's blocks follow its one-level first
-        # trial, and a row that misses in a block ending at MAX_HALVINGS has
-        # used up every halving.
-        blocks, step = [], oracle._step
+        # Watch the line searches, with a None for each kernel call: an
+        # iteration's first search tries the block on every live row, and the
+        # ones up to its kernel call continue the halvings on the rows that
+        # did not move.
+        calls, search, kernel = [], oracle._line_search, oracle._values_and_gradients
 
-        def watch(spectrum, m, x, f, grad, eta):
-            out = step(spectrum, m, x, f, grad, eta)
-            blocks.append((len(eta), int((~out[3].any(axis=0)).sum())) if eta.ndim == 2 else None)
+        def watch_search(spectrum, m, x, f, grad, p, pg, steps):
+            out = search(spectrum, m, x, f, grad, p, pg, steps)
+            calls.append((steps, x, out[0], out[1].copy()))  # the caller writes into y
             return out
 
-        monkeypatch.setattr(oracle, "_step", watch)
+        def watch_kernel(x, spectrum, m):
+            calls.append(None)
+            return kernel(x, spectrum, m)
+
+        monkeypatch.setattr(oracle, "_line_search", watch_search)
+        monkeypatch.setattr(oracle, "_values_and_gradients", watch_kernel)
         gen = expand(spec)
         assert sphere_min(gen, starts=16, rng_seed=rng_seed).to_dict() == expected
         f, x, ok = oracle._descend_rows(
             oracle._spectrum(gen), gen.m, oracle._start_matrix(gen.n, 16, rng_seed)
         )
         assert hashlib.sha256(f.tobytes() + x.tobytes() + ok.tobytes()).hexdigest()[:16] == digest
-        used_up, levels = 0, 0
-        for block in blocks:
-            levels = 0 if block is None else levels + block[0]
-            if block is not None and levels == halvings:
-                used_up += block[1]
+        # A row that misses the block goes on one halving at a time down to
+        # 2 * eta * 2**-MAX_HALVINGS, and keeps its point if nothing hits.
+        used_up, last = 0, None
+        for call in calls:
+            if call is None:
+                if last is not None:  # an iteration's searches are over
+                    assert np.array_equal(last, floor)
+                    used_up += last.size
+                last = None
+                continue
+            steps, x0, moved, y = call
+            if last is None:
+                assert len(steps) == oracle.BLOCK
+                floor = steps[-1] * 2.0 ** (3 - halvings)  # steps[-1] is 2 * eta / 8
+            else:
+                assert np.array_equal(steps[0], last * 0.5)
+            assert np.array_equal(y[~moved], x0[~moved])
+            last, floor = steps[-1, ~moved], floor[~moved]
         assert used_up > 0
 
     def test_golden_descent_values(self):
@@ -267,12 +295,12 @@ class TestSphereMin:
         f, _, converged = oracle._descend_rows(oracle._spectrum(gen), gen.m, _starts(gen.n, 16))
         assert converged.all()
         assert f.tolist() == [
-            2.4356147705020114e-15, 2.43561476225348e-15, 2.4356147705153905e-15,
-            2.4356147694814148e-15, 2.435614770515946e-15, 2.4356147677209296e-15,
-            2.4356147705153905e-15, 2.435614770515113e-15, 2.4356147705150876e-15,
-            2.435614770514936e-15, 2.435614770515214e-15, 2.4356147705155672e-15,
-            2.4356147704402657e-15, 2.435614770514734e-15, 2.4356147705149614e-15,
-            2.435614770515113e-15,
+            2.6384682046555604e-16, 8.396982570323761e-15, 7.320018147202217e-21,
+            1.4402622830812167e-20, 5.085095040408483e-20, 1.1138412193960297e-16,
+            5.977200613484467e-19, 9.785663974039307e-15, 1.3709010533484101e-15,
+            2.3588902430646172e-15, 2.1211529440909846e-19, 7.798744416721293e-17,
+            8.623487781339011e-16, 2.97314768676435e-18, 4.511318205701376e-15,
+            7.479409776032456e-21,
         ]
 
     def test_to_dict_round_trip(self):
@@ -306,7 +334,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("trial", range(40))
     def test_agree_with_scalar_polyeval(self, trial):
         gen, x = _random_gen(trial)
-        values, grads = oracle._values_and_gradients(x, oracle._spectrum(gen), gen.m)
+        values, grads, _ = oracle._values_and_gradients(x, oracle._spectrum(gen), gen.m)
         for row, f, g in zip(x.tolist(), values, grads):
             f_scale, g_scale = _scales(gen, row)
             f_ref, g_ref = value_and_gradient(gen, row)
@@ -318,7 +346,7 @@ class TestBatchedKernels:
     def test_gradient_satisfies_euler_identity(self, trial):
         # x . grad f = m f for a degree-m form, with f from the scalar path
         gen, x = _random_gen(trial, period=1 + trial % 5)
-        _, grads = oracle._values_and_gradients(x, oracle._spectrum(gen), gen.m)
+        _, grads, _ = oracle._values_and_gradients(x, oracle._spectrum(gen), gen.m)
         for row, g in zip(x.tolist(), grads):
             f_scale, _ = _scales(gen, row)
             assert abs(float(np.dot(row, g)) - gen.m * eval_fast(gen, row)) <= 1e-12 * gen.m * f_scale
@@ -327,7 +355,7 @@ class TestBatchedKernels:
     def test_gradient_matches_central_differences(self, trial):
         gen, x = _random_gen(trial, period=1 + trial % 5)
         spectrum, h = oracle._spectrum(gen), 1e-5
-        _, grads = oracle._values_and_gradients(x, spectrum, gen.m)
+        _, grads, _ = oracle._values_and_gradients(x, spectrum, gen.m)
         for row, g in zip(x, grads):
             steps = h * np.eye(gen.n)
             fp = oracle._values_and_gradients(row + steps, spectrum, gen.m)[0]
@@ -356,10 +384,11 @@ class TestBatchedKernels:
             CirculantSpec(6, 5, 6, (1, -1.3, 1, -1.3, 1, -1.3)),
             CirculantSpec(10, 5, 5, (1, 1, 1, 1, 1)),
             CirculantSpec(4, 7, 3, (0.9, 1.4, 1.1)),
+            GeneratingVector(6, 5, tuple(np.random.default_rng(7).uniform(0.5, 2.0, 25).tolist())),
         ],
     )
     def test_each_start_is_independent_of_its_batch(self, spec):
-        gen = expand(spec)
+        gen = spec if isinstance(spec, GeneratingVector) else expand(spec)
         spectrum = oracle._spectrum(gen)
         x0 = _starts(gen.n, 16, seed=5)
         f, x, ok = oracle._descend_rows(spectrum, gen.m, x0)
@@ -387,9 +416,10 @@ class TestBatchedKernels:
         x = rng.uniform(-1.0, 1.0, (rows, n))
         p = np.einsum("bi,ik->bk", x, w)
         g = np.einsum("bk,ik->bi", c * p ** (m - 1), w).real
-        f, grad = oracle._values_and_gradients(x, spectrum, m)
+        f, grad, p_out = oracle._values_and_gradients(x, spectrum, m)
         assert f.tobytes() == np.einsum("bi,bi->b", x, g).tobytes()
         assert grad.tobytes() == (m * g).tobytes()
+        assert p_out.tobytes() == p.tobytes()
 
     def test_candidates_follow_the_product_order(self):
         n = 4
@@ -398,6 +428,54 @@ class TestBatchedKernels:
         tail = points[-len(patterns):]
         for row, p in zip(tail, patterns):
             assert np.allclose(row, np.array(p) / math.sqrt(sum(t * t for t in p)), atol=1e-15)
+
+
+def _block_case(trial):
+    """A random vector (period-free or periodic), four unit rows with their
+    f, gradient, P and P_g, and a block of step sizes ``2 * eta * 16 ... 1/8``."""
+    gen, x = _random_gen(trial, period=(None, 1, 2, 3, 5)[trial % 5])
+    x = x[:4] / np.sqrt(np.einsum("bi,bi->b", x[:4], x[:4]))[:, None]
+    spectrum = oracle._spectrum(gen)
+    f, grad, p = oracle._values_and_gradients(x, spectrum, gen.m)
+    pg = np.einsum("bi,ik->bk", grad.astype(complex), spectrum[1])
+    eta = 10.0 ** np.random.default_rng(trial).uniform(-4.0, 1.0, len(x))
+    steps = 2.0 * eta * 2.0 ** np.arange(4.0, -4.0, -1.0)[:, None]
+    return gen, spectrum, x, f, grad, p, pg, steps
+
+
+class TestBlockLineSearch:
+    @pytest.mark.parametrize("trial", range(20))
+    def test_block_values_are_f_at_the_normalized_points(self, trial):
+        # By linearity of P in x the block's values are the kernel's at the
+        # explicitly normalized points up to rounding: at most 1e-12 of f's
+        # scale over |x| and |v|, times (1 + s |grad|) / |x - s grad|, the
+        # cancellation in forming the step (measured: below 1.3e-14).
+        gen, spectrum, x, f, grad, p, pg, steps = _block_case(trial)
+        y, norm, fy = oracle._block_values(spectrum, gen.m, x, grad, p, pg, steps)
+        assert np.array_equal(y, x - steps[..., None] * grad)
+        assert np.array_equal(norm, np.sqrt(np.einsum("lbi,lbi->lb", y, y)))
+        points = y / norm[..., None]
+        expected = oracle.eval_rows(gen, points.reshape(-1, gen.n)).reshape(fy.shape)
+        for (level, row), value in np.ndenumerate(fy):
+            step = steps[level, row] * math.sqrt(grad[row] @ grad[row])
+            cancellation = (1.0 + step) / norm[level, row]
+            bound = 1e-12 * _scales(gen, points[level, row].tolist())[0] * cancellation
+            assert abs(value - expected[level, row]) <= bound
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_moves_to_the_lowest_decreasing_level(self, trial):
+        gen, spectrum, x, f, grad, p, pg, steps = _block_case(trial)
+        _, norm, fy = oracle._block_values(spectrum, gen.m, x, grad, p, pg, steps)
+        moved, y, s = oracle._line_search(spectrum, gen.m, x, f, grad, p, pg, steps)
+        for row in range(len(x)):
+            down = [level for level in range(len(steps)) if fy[level, row] < f[row]]
+            assert moved[row] == bool(down)
+            if down:
+                level = min(down, key=lambda k: fy[k, row])  # the first of equal minima
+                assert s[row] == steps[level, row]
+                assert np.array_equal(y[row], (x[row] - s[row] * grad[row]) / norm[level, row])
+            else:
+                assert np.array_equal(y[row], x[row])
 
 
 class TestJacobi:
