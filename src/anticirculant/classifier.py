@@ -443,6 +443,8 @@ def classify(
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"relative tolerance must be finite and >= 0, got {rel_tol!r}")
+    if evidence_starts < 1:
+        raise ValueError(f"starts must be >= 1, got {evidence_starts}")
     if subject.m % 2 != 0:
         raise ValueError(
             f"odd order m={subject.m} is not classifiable: the zero tensor is the "

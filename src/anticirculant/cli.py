@@ -277,7 +277,11 @@ def cmd_eval(args) -> int:
     x = tuple(parse_number_list(args.x, "coordinate"))
     try:
         tensor._require_finite(x, "coordinate")
-        value = polyeval.eval_fast(gen, x)  # checks the dimension
+        # either call checks the dimension
+        if args.gradient:
+            value, grad = polyeval.value_and_gradient(gen, x)
+        else:
+            value, grad = polyeval.eval_fast(gen, x), None
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
 
@@ -287,7 +291,6 @@ def cmd_eval(args) -> int:
             naive = polyeval.eval_naive(gen, x, cap=args.cap)
         except ValueError as exc:
             raise CliInputError(str(exc)) from None
-    grad = polyeval.value_and_gradient(gen, x)[1] if args.gradient else None
     # --json writes floats, text writes exact values exactly; the coordinates
     # are finite, so a value that is no finite float64 comes from overflow
     checked = [("f(x)", value), ("f_naive(x)", naive)] + [("gradient", t) for t in grad or ()]

@@ -139,7 +139,7 @@ def _spectrum(gen: GeneratingVector):
     ``W = _roots(n, r)``.
     """
     a = np.array(gen.v, dtype=float)
-    r = _repeat(a.tolist(), len(a) - 1) or len(a)
+    r = _repeat(a.tolist())
     return np.fft.fft(a[:r]) / r, _roots(gen.n, r)
 
 

@@ -12,12 +12,12 @@ direct products, never FFT: ``cyclic_power(x, m, r)``, the r coefficients
 of ``p**m`` modulo ``z**r - 1``.  If v repeats with period r, f is their
 dot product with ``v[:r]``.  Every v repeats with its length
 ``L = (n-1)*m + 1``, where nothing wraps and the r coefficients are the
-whole profile.  Exact input takes the smallest period of v up to
-``max(n, 2n - 4)``, which every expanded spec has.  Input with a float
-entry is evaluated exactly and rounded once: every float64 is a dyadic
-rational, so v and x are scaled to integers and the kernel runs in int
-arithmetic at a period of the scaled v.  ``eval_exact`` gives that value
-unrounded.  The sphere search's batch kernel (``oracle``) evaluates the
+whole profile.  Every scalar value and gradient is computed in int
+arithmetic: each int, bool, Fraction and float64 is a rational, so one
+period of v is scaled to integers once per ``GeneratingVector``
+(``_int_form``) and x on each call, and f(x) is one integer over one
+denominator, given in the input's type (``_typed``).  ``eval_exact`` gives
+it unrounded.  The sphere search's batch kernel (``oracle``) evaluates the
 same residue sums at roots of unity.
 """
 
@@ -29,14 +29,9 @@ import operator
 import sys
 from fractions import Fraction
 
-from .tensor import (
-    DENSE_CAP_DEFAULT,
-    CirculantSpec,
-    GeneratingVector,
-    max_circulant_index,
-)
+from .tensor import DENSE_CAP_DEFAULT, CirculantSpec, GeneratingVector
 
-#: Entry types whose arithmetic is exact; any other type makes ``eval_fast`` round to float64.
+#: Entry types whose arithmetic is exact; any other type makes values round to float64.
 _EXACT_TYPES = frozenset((int, bool, Fraction))
 
 
@@ -80,31 +75,15 @@ def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def _repeat(keys, cap: int):
-    """Smallest r <= cap with ``keys[s] == keys[s + r]`` wherever both exist, or None.
-
-    Only the smallest such r of the first ``2 * cap`` keys, r0, is checked on
-    the whole sequence.  If r0 fails there, no r <= cap holds: r0's first break
-    at some s >= 2 * cap - r0 >= r would, through period r, also be a break
-    at s - r, before it.  cap must be below ``len(keys)``.
-    """
-    head = keys[: 2 * cap]
-    for r in range(1, cap + 1):
+def _repeat(keys) -> int:
+    """The smallest period of ``keys``: the smallest r with
+    ``keys[s] == keys[s + r]`` wherever both exist, ``len(keys)`` if none is
+    shorter."""
+    for r in range(1, len(keys)):
         # the first pair decides most shifts without copying two slices
-        if head[r] == head[0] and head[r:] == head[:-r]:
-            return r if keys[r:] == keys[:-r] else None
-    return None
-
-
-def _period(v, cap: int, fractions: bool):
-    """A period r <= cap of v, or None.
-
-    An int vector is compared by value.  Fraction equality runs in Python,
-    so a vector with Fractions is compared by object id: an expanded seed
-    repeats its r objects, while equal Fractions held as distinct objects
-    find no period and are evaluated at r = L, which gives the same value.
-    """
-    return _repeat(tuple(map(id, v)) if fractions else v, cap)
+        if keys[r] == keys[0] and keys[r:] == keys[:-r]:
+            return r
+    return len(keys)
 
 
 def _check_dim(gen: GeneratingVector, x):
@@ -113,31 +92,38 @@ def _check_dim(gen: GeneratingVector, x):
 
 
 def eval_fast(gen: GeneratingVector, x):
-    """f(x) as ``sum_k v[k] * R[k]`` over the r entries of ``cyclic_power(x, m, r)``.
+    """f(x), exactly as ``eval_exact`` computes it, in the input's type.
 
-    If every entry of ``gen.v`` and ``x`` is an int, bool or Fraction, r is
-    the smallest period of v up to the largest circulant index
-    ``max(n, 2n - 4)``, else the length L; Fraction entries must repeat as
-    the same objects, as ``expand`` makes them.  The value is exact, and a
-    Fraction exactly when the profile's sum would be one (some entry of v
-    is, or x is nonzero and some entry of x is).  Any other entry makes the
-    value a float: ``eval_exact(gen, x)`` rounded once to float64, so
-    correctly rounded, and ``±inf`` past float64.
+    If every entry of ``gen.v`` and ``x`` is an int, bool or Fraction, the
+    value is exact: a Fraction if some entry of v is one, or x is nonzero
+    and some entry of x is one, else an int.  Any other entry makes the
+    value a float: the exact value rounded once to float64, so correctly
+    rounded, and ``±inf`` past float64.
     """
     _check_dim(gen, x)
-    v, m = gen.v, gen.m
-    v_types, x_types = set(map(type, v)), set(map(type, x))
+    numerator, denominator = _exact_ratio(gen, x)
+    return _typed(_result_type(gen, x), numerator, denominator)
+
+
+def _result_type(gen: GeneratingVector, x) -> type:
+    """float, Fraction or int: the type ``eval_fast`` gives f(x) in."""
+    v_types, x_types = _int_form(gen)[3], set(map(type, x))
     if not _EXACT_TYPES.issuperset(v_types | x_types):
-        numerator, denominator = _exact_ratio(gen, x)
+        return float
+    if Fraction in v_types or (Fraction in x_types and any(x)):
+        return Fraction
+    return int
+
+
+def _typed(kind: type, numerator: int, denominator: int):
+    """``numerator / denominator`` as ``kind``: a float rounded once (``±inf``
+    past float64), a Fraction, or the int numerator, the denominator being 1."""
+    if kind is float:
         try:
             return numerator / denominator  # int true division rounds once
         except OverflowError:
             return math.inf if numerator > 0 else -math.inf
-    r = _period(v, max_circulant_index(gen.n), Fraction in v_types) or len(v)
-    value = _dot(v[:r], cyclic_power(x, m, r))
-    if type(value) is int and (Fraction in v_types or (Fraction in x_types and any(x))):
-        return Fraction(value)
-    return value
+    return Fraction(numerator, denominator) if kind is Fraction else numerator
 
 
 def _scaled(values):
@@ -148,35 +134,33 @@ def _scaled(values):
 
 
 def _int_form(gen: GeneratingVector):
-    """``(V, d, r)``: one period ``V = v[:r] * d`` of v as ints, d the lcm of
-    v's denominators.
+    """``(V, d, r, types)``: one period ``V = v[:r] * d`` of v as ints, d the
+    lcm of v's denominators, and the set of the types of v's entries.
 
-    r is v's smallest period by object identity up to ``max(n, 2n - 4)``, as
-    ``expand`` repeats its seed objects; failing that, the smallest period of
-    the scaled ints by value, else L.  v is immutable, so the form is
-    computed once per instance and kept on it.
+    r is v's smallest period by value, else L; tuple comparison matches the
+    objects that ``expand`` repeats by identity, without their ``__eq__``.
+    v is immutable, so the form is computed once per instance and kept on it.
     """
     form = gen.__dict__.get("_int_form")
     if form is None:
         v = gen.v
-        r = _repeat(tuple(map(id, v)), max_circulant_index(gen.n))
-        scaled, d = _scaled(v[:r])  # all of v if r is None
-        r = r or _repeat(scaled, len(v) - 1) or len(v)
-        form = scaled[:r], d, r
+        r = _repeat(v)
+        scaled, d = _scaled(v[:r])
+        form = scaled, d, r, frozenset(map(type, v))
         object.__setattr__(gen, "_int_form", form)
     return form
 
 
 def _exact_ratio(gen: GeneratingVector, x):
     """f(x) as ``(numerator, denominator)`` ints, denominator positive."""
-    scaled_v, dv, r = _int_form(gen)
+    scaled_v, dv, r, _ = _int_form(gen)
     scaled_x, dx = _scaled(x)
     return _dot(scaled_v, cyclic_power(scaled_x, gen.m, r)), dv * dx**gen.m
 
 
 def eval_exact(gen: GeneratingVector, x) -> Fraction:
     """f(x) exactly, for finite int, bool, Fraction or float entries: with
-    ``(V, d_v, r)`` one period of v scaled to ints (``_int_form``) and
+    ``V, d_v, r`` one period of v scaled to ints (``_int_form``) and
     ``X, d_x = _scaled(x)``,
     ``sum_k V[k] * cyclic_power(X, m, r)[k] / (d_v * d_x**m)``."""
     _check_dim(gen, x)
@@ -213,22 +197,24 @@ def eval_naive(gen: GeneratingVector, x, cap: int = DENSE_CAP_DEFAULT):
 
 
 def value_and_gradient(gen: GeneratingVector, x):
-    """``eval_fast(gen, x)`` and the gradient of f at x.
+    """``eval_fast(gen, x)`` and the gradient of f at x, in the same type.
 
-    With ``d = cyclic_power(x, m - 1, width)``, the whole order-(m-1)
-    profile of ``width = (n-1)*(m-1) + 1`` entries,
-    ``grad_i = m * sum_u d[u] * v[u + i - 1]``.  Exact input gives an exact
-    gradient.  Any float entry makes the gradient float64, computed from x
-    converted to float, while the value is exactly rounded as in
-    ``eval_fast``.
+    On the int forms ``V, d_v, r`` of v and ``X, d_x`` of x, with
+    ``D = cyclic_power(X, m - 1, r)``, ``G_i = sum_k D[k] * V[(k + i) mod r]``
+    is ``d_v * d_x**(m-1) / m`` times the gradient's entry i, as v has
+    period r.  By Euler's identity ``x . grad f = m f``, ``sum_i X_i * G_i``
+    over ``d_v * d_x**m`` is f(x): the integer ``eval_fast`` computes, from
+    one kernel call.
     """
     _check_dim(gen, x)
-    m, v = gen.m, gen.v
-    floats = not _EXACT_TYPES.issuperset(set(map(type, v)) | set(map(type, x)))
-    width = len(v) - gen.n + 1
-    d = cyclic_power(tuple(map(float, x)) if floats else x, m - 1, width)
-    grad = tuple(m * _dot(d, v[i : i + width]) for i in range(gen.n))
-    return eval_fast(gen, x), tuple(map(float, grad)) if floats else grad
+    scaled_v, dv, r, _ = _int_form(gen)
+    scaled_x, dx = _scaled(x)
+    m = gen.m
+    folded = cyclic_power(scaled_x, m - 1, r)
+    sums = [_dot(folded, scaled_v[i % r :] + scaled_v[: i % r]) for i in range(gen.n)]
+    kind, denominator = _result_type(gen, x), dv * dx ** (m - 1)
+    value = _typed(kind, _dot(scaled_x, sums), denominator * dx)
+    return value, tuple(_typed(kind, m * t, denominator) for t in sums)
 
 
 def residue_components(spec: CirculantSpec, x) -> tuple:

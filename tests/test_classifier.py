@@ -500,6 +500,19 @@ class TestUncoveredAndNotes:
             with pytest.raises(ValueError, match="tolerance"):
                 classify(subject, rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_evidence_starts_below_one_is_refused(self, starts):
+        # PSD, NotPSD and Uncovered subjects alike, before any search could run
+        subjects = (
+            CirculantSpec(4, 4, 2, (1, 0.5)),
+            CirculantSpec(4, 4, 2, (1.0, 1.2)),
+            CirculantSpec(10, 5, 5, (1, 1, 1, 1, 1)),
+            GeneratingVector(2, 2, (1, 0, 1)),
+        )
+        for subject in subjects:
+            with pytest.raises(ValueError, match="starts must be >= 1"):
+                classify(subject, evidence_starts=starts)
+
     def test_generating_vector_refuted_by_units(self):
         v = [1.0] * 9
         v[4] = -2.0

@@ -13,6 +13,7 @@ import pytest
 
 import anticirculant
 from anticirculant.cli import main, parse_int_list, parse_number_list
+from anticirculant import polyeval
 from anticirculant.polyeval import eval_exact
 from anticirculant.tensor import GeneratingVector
 
@@ -93,6 +94,13 @@ class TestClassifyCommand:
         assert "status: NotPSD" in out
         assert "witness: 1, -1, 0, 0" in out
         assert "-1.59" in out
+
+    @pytest.mark.parametrize("doc", ["psd_doc", "notpsd_doc", "uncovered_doc"])
+    def test_zero_starts_is_an_input_error(self, doc, request, capsys):
+        assert main(["classify", request.getfixturevalue(doc), "--starts", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: starts must be >= 1, got 0\n"
 
     def test_uncovered_exit_and_note(self, uncovered_doc, capsys):
         assert main(["classify", uncovered_doc]) == 4
@@ -479,6 +487,14 @@ class TestEvalCommand:
         doc = write_doc(tmp_path, "sq.json", {"m": 2, "n": 2, "genvec": [1, 1, 1]})
         assert main(["eval", doc, "1,1", "--gradient"]) == 0
         assert "gradient: 4, 4" in capsys.readouterr().out
+
+    def test_gradient_flag_evaluates_once(self, tmp_path, capsys, monkeypatch):
+        # the value comes with the gradient, not from a second evaluation
+        doc = write_doc(tmp_path, "e.json", {"m": 4, "n": 4, "r": 2, "seed": [3, -1]})
+        monkeypatch.setattr(polyeval, "eval_fast", None)
+        assert main(["eval", doc, "1,-2,0,1/3", "--gradient"]) == 0
+        assert capsys.readouterr().out == "f(x) = 304/3\ngradient: 4064/27, -1376/9, 4064/27, -1376/9\n"
+        assert main(["eval", doc, "1,-2,0", "--gradient"]) == 2
 
     def test_dimension_mismatch(self, genvec_doc, capsys):
         assert main(["eval", genvec_doc, "1,2,3"]) == 2

@@ -374,7 +374,7 @@ class TestBatchedKernels:
     def test_period_is_the_smallest_repeat(self, gen, period):
         # the shared finder, by value on the float64 vector, falling back to L
         values = np.array(gen.v, dtype=float).tolist()
-        assert (_repeat(values, len(values) - 1) or len(values)) == period
+        assert _repeat(values) == period
         assert oracle._spectrum(gen)[1].shape == (gen.n, period)
 
     @pytest.mark.parametrize(

@@ -177,6 +177,53 @@ class TestGradient:
             assert type(g) is Fraction
             assert g == gen.m * eval_naive(GeneratingVector(gen.m - 1, gen.n, gen.v[i : i + width]), x)
 
+    def test_float_gradient_is_the_exact_one_rounded_once(self):
+        rng = random.Random(14)
+        checked = 0
+        while checked < 150:
+            gen, x = _mixed_case(rng)
+            if gen.m < 3:
+                continue
+            if float not in set(map(type, gen.v + x)):
+                x = x[:-1] + (float(x[-1]),)
+            value, grad = value_and_gradient(gen, x)
+            assert value == eval_fast(gen, x)
+            v, fx = tuple(map(Fraction, gen.v)), tuple(map(Fraction, x))
+            width = genvec_length(gen.m - 1, gen.n)
+            for i, g in enumerate(grad):
+                exact = gen.m * eval_naive(GeneratingVector(gen.m - 1, gen.n, v[i : i + width]), fx)
+                assert type(g) is float
+                try:
+                    assert g == float(exact)
+                except OverflowError:
+                    assert g == (math.inf if exact > 0 else -math.inf)
+            checked += 1
+
+    def test_gradient_type_follows_the_value(self):
+        rng = random.Random(15)
+        for _ in range(400):
+            gen, x = _exact_case(rng)
+            value, grad = value_and_gradient(gen, x)
+            assert value == eval_fast(gen, x)
+            assert type(value) is _exact_type(gen, x)
+            assert {type(g) for g in grad} == {type(value)}
+        # a Fraction zero next to a nonzero int makes every entry a Fraction
+        value, grad = value_and_gradient(expand(CirculantSpec(4, 3, 2, (1, 2))), (Fraction(0), 1, 0))
+        assert (value, grad) == (1, (8, 4, 8))
+        assert {type(value)} | {type(g) for g in grad} == {Fraction}
+
+    def test_one_kernel_call_at_the_period(self, monkeypatch):
+        seen = _recorded_periods(monkeypatch)
+        cases = [
+            (expand(CirculantSpec(6, 4, 3, (Fraction(1, 3), 2, -1))), (Fraction(1, 2), -1, 0, 2), 3),
+            (expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.25))), (0.5, -1, 0, 0, 0.25, 0), 4),
+            (GeneratingVector(4, 3, (0,) * 8 + (1,)), (1, 2, 3), 9),
+        ]
+        for gen, x, period in cases:
+            seen.clear()
+            value_and_gradient(gen, x)
+            assert seen == [period]
+
     @settings(deadline=None, max_examples=40)
     @given(gen=gen_strategy(max_m=5), data=st.data())
     def test_matches_finite_differences(self, gen, data):
@@ -380,7 +427,7 @@ def _naive_residue_sums(x, m, r):
 
 
 def _recorded_periods(monkeypatch):
-    """The r of every ``cyclic_power`` call that ``eval_fast`` makes from now on."""
+    """The r of every ``cyclic_power`` call that ``polyeval`` makes from now on."""
     seen = []
 
     def recording(x, m, r):
@@ -405,8 +452,8 @@ def _exact_case(rng):
 
     Specs share their seed objects over the vector.  Bare vectors either
     repeat a seed's objects, repeat its values as new objects (a Fraction
-    vector of those has no period by identity and is evaluated at r = L),
-    or have free entries.
+    vector of those has no period by identity and is folded at its period
+    by value), or have free entries.
     """
     m, n = rng.randint(2, 10), rng.randint(2, 7)
     length = genvec_length(m, n)
@@ -471,14 +518,12 @@ class TestResidueRoute:
     def test_exact_input_equals_profile_by_value_and_type(self):
         rng = random.Random(10)
         routes = {True: 0, False: 0}
-        for _ in range(1200):
+        for _ in range(1500):
             gen, x = _exact_case(rng)
             ours = eval_fast(gen, x)
             assert ours == _dot_profile(gen, x)
             assert type(ours) is _exact_type(gen, x)
-            fractions = any(type(t) is Fraction for t in gen.v)
-            r = polyeval._period(gen.v, max_circulant_index(gen.n), fractions)
-            routes[r is not None] += 1
+            routes[polyeval._int_form(gen)[2] < len(gen.v)] += 1
         assert min(routes.values()) >= 300
 
     def test_float_input_is_the_profile_bitwise(self):
@@ -513,8 +558,8 @@ class TestResidueRoute:
             assert repr(value_and_gradient(gen, x)) == "(0.0, (0.0, 0.0))"
 
     def test_float_input_is_folded_at_a_period(self, monkeypatch):
-        # v is scaled to ints once per instance, at its period by object
-        # identity, else by value, else r = L
+        # v is scaled to ints once per instance, at its smallest period by
+        # value, else r = L
         x = (1, -1, 0, 0, 0, 0)
         cases = [
             (expand(CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.25))), x),
@@ -536,44 +581,47 @@ class TestResidueRoute:
         assert eval_fast(gen, (1, 2, 0, -1, 3)) == _dot_profile(gen, (1, 2, 0, -1, 3))
         assert seen == [2, 6]
 
-    def test_fraction_values_repeated_as_new_objects_take_the_profile(self, monkeypatch):
+    def test_fraction_values_repeated_as_new_objects_fold_by_value(self, monkeypatch):
         seen = _recorded_periods(monkeypatch)
         seed = (Fraction(1, 3), 2, Fraction(-5, 7), 4, 1, 0)
         gen = GeneratingVector(4, 5, [seed[s % 6] + 0 for s in range(17)])
         x = (1, 2, 0, -1, 3)
-        assert eval_fast(gen, x) == _dot_profile(gen, x)
-        assert seen == [17]
+        value = eval_fast(gen, x)
+        assert value == _dot_profile(gen, x)
+        assert type(value) is Fraction
+        assert seen == [6]
 
     @pytest.mark.parametrize(
-        "v",
+        "v, period",
         [
-            (0,) * 660 + (1,),
-            (0,) * 330 + (1,) + (0,) * 330,
-            (Fraction(1, 2),) * 660 + (Fraction(1),),
-            tuple(Fraction(s % 21, 5) for s in range(661)),  # period 21 > max(n, 2n - 4)
+            ((0,) * 660 + (1,), 661),
+            ((0,) * 330 + (1,) + (0,) * 330, 331),
+            ((Fraction(1, 2),) * 660 + (Fraction(1),), 661),
+            (tuple(Fraction(s % 21, 5) for s in range(661)), 21),  # 21 > max(n, 2n - 4)
         ],
     )
-    def test_vector_without_a_period_up_to_the_cap_takes_the_profile(self, monkeypatch, v):
+    def test_no_period_up_to_the_cap_folds_by_value(self, monkeypatch, v, period):
         seen = _recorded_periods(monkeypatch)
         gen = GeneratingVector(60, 12, v)
         x = (1, -1) + (0,) * 10
-        assert eval_fast(gen, x) == _dot_profile(gen, x)
-        assert seen == [661]
+        value = eval_fast(gen, x)
+        assert value == _dot_profile(gen, x)
+        assert type(value) is type(v[-1])
+        assert seen == [period]
 
     def test_period_search_is_the_smallest_repeat(self):
-        # the search checks one candidate on the whole vector; brute force agrees
+        # brute force agrees, with the length itself when nothing shorter repeats
         rng = random.Random(12)
         for _ in range(2000):
-            cap = rng.randint(1, 8)
-            length = rng.randint(cap + 1, 40)
+            length = rng.randint(1, 40)
             period = rng.randint(1, 12)
             base = [rng.randint(0, 1) for _ in range(period)]
             keys = tuple(base[s % period] for s in range(length))
             if rng.random() < 0.5:
                 s = rng.randrange(length)
                 keys = keys[:s] + (1 - keys[s],) + keys[s + 1 :]
-            brute = next((r for r in range(1, cap + 1) if keys[r:] == keys[:-r]), None)
-            assert polyeval._repeat(keys, cap) == brute
+            brute = next(r for r in range(1, length + 1) if keys[r:] == keys[: length - r])
+            assert polyeval._repeat(keys) == brute
 
 
 
