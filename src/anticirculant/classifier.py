@@ -32,17 +32,16 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .combinatorics import SPECIAL_R3_ORDERS
 from .polyeval import eval_exact, eval_fast, rounded
 from .tensor import (
     NAMED_PATTERNS,
     CirculantSpec,
     GeneratingVector,
     WitnessVector,
+    _Record,
     alpha_witnesses,
     differences,
     distinct,
@@ -60,6 +59,9 @@ WITNESS_REL_MARGIN = 1e-9
 #: Rounding allowance of the certificate check, in ulps of max|v|: the
 #: certificate's t is a float even for exact input.
 CERTIFICATE_ULPS = 8
+#: Even orders for which the circulant-index-3 rule is proved via sign facts
+#: (``combinatorics.sign_fact_report`` recomputes them).
+SPECIAL_R3_ORDERS = (6, 12, 18, 30, 42)
 
 
 class Status(enum.Enum):
@@ -83,8 +85,7 @@ class CertificateKind(enum.Enum):
     STRONG_HANKEL = "StrongHankel"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Verifiable witness of positive semidefiniteness.
 
     PowerSum: f(x) = t*v0*(x1+...+xn)^m + (1-t)*v0*(x1-x2+x3-...)^m with
@@ -99,16 +100,19 @@ class Certificate:
 
     kind: CertificateKind
     v0: float
-    t: float | None = None
-    matrix_eigen_floor: float | None = None
+    t: float | None
+    matrix_eigen_floor: float | None
+
+    def __init__(self, kind: CertificateKind, v0: float, t: float | None = None,
+                 matrix_eigen_floor: float | None = None):
+        self.__dict__.update(kind=kind, v0=v0, t=t, matrix_eigen_floor=matrix_eigen_floor)
 
     def to_dict(self) -> dict:
-        out = {**asdict(self), "kind": self.kind.value}
+        out = {**self._as_dict(), "kind": self.kind.value}
         return {key: value for key, value in out.items() if value is not None}
 
 
-@dataclass(frozen=True)
-class StrongHankelResult:
+class StrongHankelResult(_Record):
     """``residual`` is max_s |v[s] - (alpha + beta*(-1)^s)|; ``slack`` bounds it."""
 
     passed: bool
@@ -117,18 +121,32 @@ class StrongHankelResult:
     residual: float
     slack: float
 
+    def __init__(self, passed: bool, min_eigenvalue: float, size: int, residual: float,
+                 slack: float):
+        self.__dict__.update(passed=passed, min_eigenvalue=min_eigenvalue, size=size,
+                             residual=residual, slack=slack)
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(_Record):
     status: Status
     case: Case | None
     tolerance: float
-    certificate: Certificate | None = None
-    strong_hankel: Certificate | None = None
-    witness: WitnessVector | None = None
-    witness_value: float | None = None
-    evidence: SphereMinResult | None = None
-    notes: tuple[str, ...] = ()
+    certificate: Certificate | None
+    strong_hankel: Certificate | None
+    witness: WitnessVector | None
+    witness_value: float | None
+    evidence: SphereMinResult | None
+    notes: tuple[str, ...]
+
+    def __init__(self, status: Status, case: Case | None, tolerance: float,
+                 certificate: Certificate | None = None,
+                 strong_hankel: Certificate | None = None,
+                 witness: WitnessVector | None = None, witness_value: float | None = None,
+                 evidence: SphereMinResult | None = None, notes: tuple[str, ...] = ()):
+        self.__dict__.update(status=status, case=case, tolerance=tolerance,
+                             certificate=certificate, strong_hankel=strong_hankel,
+                             witness=witness, witness_value=witness_value, evidence=evidence,
+                             notes=notes)
 
     def to_dict(self) -> dict:
         return {

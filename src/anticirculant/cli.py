@@ -30,7 +30,9 @@ numpy is imported only by the commands that do numeric work: ``oracle``,
 that runs the sphere search: an Uncovered verdict, or a NotPSD one that no
 witness family refutes.  A covered ``classify``, with or without
 ``--verify``, and ``eval``, ``sums``, ``signfacts`` and ``theorem1`` run in
-pure Python.
+pure Python.  ``combinatorics`` is imported only by ``sums``, ``signfacts``
+and ``theorem1``, so a covered ``classify`` imports neither numpy, the
+standard library's ``dataclasses``, nor ``combinatorics``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import classifier, combinatorics, polyeval, tensor
+from . import classifier, polyeval, tensor
 
 _MINUS_SIGN = "−"
 
@@ -325,6 +327,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sums(args) -> int:
+    from . import combinatorics
+
     if args.m < 2:
         raise CliInputError(f"m must be >= 2, got {args.m}")
     if args.r < 2:
@@ -348,6 +352,8 @@ def cmd_sums(args) -> int:
 
 
 def cmd_signfacts(args) -> int:
+    from . import combinatorics
+
     rows = combinatorics.sign_fact_report()
     if args.json:
         print(json.dumps([
@@ -429,6 +435,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_theorem1(args) -> int:
+    from . import combinatorics
+
     u = parse_number_list(args.u, "sequence", exact_decimals=True)
     try:
         seq = combinatorics.PeriodicSequence(tuple(Fraction(t) for t in u))

@@ -31,8 +31,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .classifier import SPECIAL_R3_ORDERS
+from .tensor import _Record
 
 
 class SequenceVerdict(enum.Enum):
@@ -44,15 +46,15 @@ class RigidityViolation(AssertionError):
     """One-signed alternating sums on a non-constant sequence: must never happen."""
 
 
-@dataclass(frozen=True)
-class PeriodicSequence:
+class PeriodicSequence(_Record):
     """One period of a sequence extended periodically; entries become Fractions."""
 
     u: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(Fraction(t) for t in self.u))
-        if len(self.u) < 2:
+    def __init__(self, u):
+        u = tuple(Fraction(t) for t in u)
+        self.__dict__.update(u=u)
+        if len(u) < 2:
             raise ValueError("need at least two entries per period")
 
     @property
@@ -91,14 +93,16 @@ def theorem1_verdict(seq: PeriodicSequence, order: int) -> SequenceVerdict:
     return SequenceVerdict.MIXED_SIGNS
 
 
-@dataclass(frozen=True)
-class ResidueSumTable:
+class ResidueSumTable(_Record):
     """Exact residue-class sums S_0..S_{r-1} of a pattern at order m."""
 
     m: int
     r: int
     pattern: tuple
     sums: tuple
+
+    def __init__(self, m: int, r: int, pattern: tuple, sums: tuple):
+        self.__dict__.update(m=m, r=r, pattern=pattern, sums=sums)
 
     def total(self) -> int:
         return sum(self.sums)
@@ -144,18 +148,18 @@ def residue_sum_table(m: int, r: int, pattern) -> ResidueSumTable:
     return ResidueSumTable(m=m, r=r, pattern=pattern, sums=tuple(sums))
 
 
-#: Even orders for which the circulant-index-3 rule is proved via sign facts.
-SPECIAL_R3_ORDERS = (6, 12, 18, 30, 42)
-
-
-@dataclass(frozen=True)
-class SignFactRow:
+class SignFactRow(_Record):
     m: int
     r: int
     pattern: tuple
     sums: tuple
     requirement: str
     passed: bool
+
+    def __init__(self, m: int, r: int, pattern: tuple, sums: tuple, requirement: str,
+                 passed: bool):
+        self.__dict__.update(m=m, r=r, pattern=pattern, sums=sums, requirement=requirement,
+                             passed=passed)
 
 
 def _facts():

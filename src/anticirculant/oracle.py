@@ -61,11 +61,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensor import GeneratingVector, candidate_witnesses
+from .tensor import GeneratingVector, _Record, candidate_witnesses
 # eval_fast and value_and_gradient are not called here; bench/spans.py traces
 # them under these names.
 from .polyeval import _repeat, eval_exact, eval_fast, rounded, value_and_gradient  # noqa: F401
@@ -119,16 +118,20 @@ class SplitMix64:
                 return tuple(t / norm for t in x)
 
 
-@dataclass(frozen=True)
-class SphereMinResult:
+class SphereMinResult(_Record):
     min_value: float | None
     argmin: tuple | None
     starts: int
     converged_starts: int
     rng_seed: int
 
+    def __init__(self, min_value: float | None, argmin: tuple | None, starts: int,
+                 converged_starts: int, rng_seed: int):
+        self.__dict__.update(min_value=min_value, argmin=argmin, starts=starts,
+                             converged_starts=converged_starts, rng_seed=rng_seed)
+
     def to_dict(self) -> dict:
-        return {**asdict(self), "argmin": None if self.argmin is None else list(self.argmin)}
+        return {**self._as_dict(), "argmin": None if self.argmin is None else list(self.argmin)}
 
 
 def _spectrum(gen: GeneratingVector):
@@ -340,12 +343,15 @@ def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> Sp
     )
 
 
-@dataclass(frozen=True)
-class MatrixPsdResult:
+class MatrixPsdResult(_Record):
     passed: bool
     min_eigenvalue: float
     eigenvalues: tuple
     sweeps: int
+
+    def __init__(self, passed: bool, min_eigenvalue: float, eigenvalues: tuple, sweeps: int):
+        self.__dict__.update(passed=passed, min_eigenvalue=min_eigenvalue,
+                             eigenvalues=eigenvalues, sweeps=sweeps)
 
 
 def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 100):

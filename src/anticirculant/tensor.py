@@ -21,7 +21,6 @@ arithmetic survives downstream when the inputs are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -67,6 +66,50 @@ def _require_finite(values, what: str) -> None:
             raise ValueError(f"{what} entries must be finite, got {t!r}")
 
 
+class _Record:
+    """Base of the package's frozen records; the annotated names are the fields.
+
+    Each record's own ``__init__`` validates its arguments and stores them in
+    the instance ``__dict__``; normal attribute assignment and deletion raise
+    ``AttributeError``.  Records compare, hash and print field by field, as
+    frozen dataclasses do, and ``_as_dict`` maps field names to values, with
+    records among the values as dicts.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _as_dict(self) -> dict:
+        return {
+            name: value._as_dict() if isinstance(value, _Record) else value
+            for name, value in zip(self._fields, self._values())
+        }
+
+
 def genvec_length(m: int, n: int) -> int:
     """Length of the generating vector of an order-m, dimension-n Hankel tensor."""
     return (n - 1) * m + 1
@@ -77,8 +120,7 @@ def max_circulant_index(n: int) -> int:
     return max(n, 2 * n - 4)
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(_Record):
     """Order ``m``, dimension ``n``, and the generating vector ``v``.
 
     ``v[0]`` generates the all-ones-index entry; ``v[-1]`` the all-``n`` one.
@@ -88,25 +130,25 @@ class GeneratingVector:
     n: int
     v: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(self.v))
-        if self.m < 2:
-            raise ValueError(f"order m must be >= 2, got {self.m}")
-        if self.n < 2:
-            raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        want = genvec_length(self.m, self.n)
-        if len(self.v) != want:
+    def __init__(self, m: int, n: int, v):
+        v = tuple(v)
+        self.__dict__.update(m=m, n=n, v=v)
+        if m < 2:
+            raise ValueError(f"order m must be >= 2, got {m}")
+        if n < 2:
+            raise ValueError(f"dimension n must be >= 2, got {n}")
+        want = genvec_length(m, n)
+        if len(v) != want:
             raise ValueError(
-                f"generating vector needs (n-1)*m+1 = {want} entries, got {len(self.v)}"
+                f"generating vector needs (n-1)*m+1 = {want} entries, got {len(v)}"
             )
-        _require_finite(self.v, "generating vector")
+        _require_finite(v, "generating vector")
 
     def max_abs(self) -> float:
         return max(abs(float(t)) for t in distinct(self.v))
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
+class CirculantSpec(_Record):
     """A generalized anti-circulant tensor given by (m, n, r) and an r-entry seed.
 
     The full generating vector is the seed repeated periodically.  ``r`` may
@@ -119,25 +161,26 @@ class CirculantSpec:
     r: int
     seed: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "seed", tuple(self.seed))
-        if self.m < 2:
-            raise ValueError(f"order m must be >= 2, got {self.m}")
-        if self.n < 2:
-            raise ValueError(f"dimension n must be >= 2, got {self.n}")
-        r_cap = max_circulant_index(self.n)
-        if not 1 <= self.r <= r_cap:
+    def __init__(self, m: int, n: int, r: int, seed):
+        seed = tuple(seed)
+        self.__dict__.update(m=m, n=n, r=r, seed=seed)
+        if m < 2:
+            raise ValueError(f"order m must be >= 2, got {m}")
+        if n < 2:
+            raise ValueError(f"dimension n must be >= 2, got {n}")
+        r_cap = max_circulant_index(n)
+        if not 1 <= r <= r_cap:
             raise ValueError(
-                f"circulant index r={self.r} outside 1..max(n, 2n-4) = 1..{r_cap}"
+                f"circulant index r={r} outside 1..max(n, 2n-4) = 1..{r_cap}"
             )
-        if self.r > genvec_length(self.m, self.n):
+        if r > genvec_length(m, n):
             raise ValueError(
-                f"circulant index r={self.r} exceeds generating vector length "
-                f"{genvec_length(self.m, self.n)}"
+                f"circulant index r={r} exceeds generating vector length "
+                f"{genvec_length(m, n)}"
             )
-        if len(self.seed) != self.r:
-            raise ValueError(f"seed needs exactly r={self.r} entries, got {len(self.seed)}")
-        _require_finite(self.seed, "seed")
+        if len(seed) != r:
+            raise ValueError(f"seed needs exactly r={r} entries, got {len(seed)}")
+        _require_finite(seed, "seed")
 
 
 def expand(spec: CirculantSpec) -> GeneratingVector:
@@ -163,14 +206,16 @@ def entry(gen: GeneratingVector, idx):
     return gen.v[total - gen.m]
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
+class HankelMatrix(_Record):
     """Associated Hankel matrix of an even-order tensor: ``a[i, j] = v[i + j]`` (0-based)."""
 
     gen: GeneratingVector
     k: int
     size: int
     a: np.ndarray
+
+    def __init__(self, gen: GeneratingVector, k: int, size: int, a: np.ndarray):
+        self.__dict__.update(gen=gen, k=k, size=size, a=a)
 
     def __eq__(self, other):
         if not isinstance(other, HankelMatrix):
@@ -198,16 +243,16 @@ def hankel_matrix(gen: GeneratingVector) -> HankelMatrix:
     return HankelMatrix(gen=gen, k=k, size=size, a=a)
 
 
-@dataclass(frozen=True)
-class WitnessVector:
+class WitnessVector(_Record):
     """A concrete vector ``x`` with a label describing which family produced it."""
 
     x: tuple
     label: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(self.x))
-        if all(t == 0 for t in self.x):
+    def __init__(self, x, label: str):
+        x = tuple(x)
+        self.__dict__.update(x=x, label=label)
+        if all(t == 0 for t in x):
             raise ValueError("witness vector must be nonzero")
 
 

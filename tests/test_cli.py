@@ -242,8 +242,12 @@ class TestClassifyCommand:
                             r"it is reported as -1\.7976931348623157e\+308", payload["notes"][0])
 
 
+#: Modules that a covered ``classify`` does not import.
+_WATCHED = ("numpy", "dataclasses", "anticirculant.combinatorics")
+
 #: Runs each argv of a JSON list through ``python -m anticirculant.cli``'s code
-#: in one fresh process; prints [exit code, stdout, numpy imported] per argv.
+#: in one fresh process; prints [exit code, stdout, the ``_WATCHED`` modules
+#: loaded so far] per argv.
 _COLD_CLI = """
 import contextlib, io, json, runpy, sys
 out = []
@@ -254,9 +258,9 @@ for argv in json.loads(sys.argv[1]):
             runpy.run_module("anticirculant.cli", run_name="__main__")
         except SystemExit as exc:
             code = exc.code
-    out.append([code, buf.getvalue(), "numpy" in sys.modules])
+    out.append([code, buf.getvalue(), [m for m in %r if m in sys.modules]])
 print(json.dumps(out))
-"""
+""" % (_WATCHED,)
 
 
 def _fresh_process(*args: str) -> subprocess.CompletedProcess:
@@ -279,15 +283,17 @@ class TestNumpyLoadsOnDemand:
     def test_package_import_skips_numpy(self):
         assert _cold("import anticirculant, sys; print('numpy' in sys.modules)") == "False\n"
 
-    def test_covered_verdicts_skip_numpy(self, psd_doc, notpsd_doc):
-        argvs = [["classify", doc, "--verify", "--json"] for doc in (psd_doc, notpsd_doc)]
-        (psd_code, psd_out, _), (neg_code, neg_out, numpy_loaded) = json.loads(
-            _cold(_COLD_CLI, json.dumps(argvs))
-        )
-        assert (psd_code, neg_code) == (0, 1)
-        assert json.loads(psd_out)["verified"] is True
-        assert json.loads(neg_out)["verified"] is True
-        assert numpy_loaded is False
+    def test_covered_verdicts_skip_numpy(self, tmp_path, psd_doc, notpsd_doc):
+        # neither numpy nor dataclasses nor combinatorics, for float and int seeds
+        docs = [psd_doc, notpsd_doc] + [
+            write_doc(tmp_path, f"int{i}.json", {"m": 4, "n": 4, "r": 2, "seed": seed})
+            for i, seed in enumerate(([2, 1], [1, 2]))
+        ]
+        argvs = [["classify", doc, "--verify", "--json"] for doc in docs]
+        cold = json.loads(_cold(_COLD_CLI, json.dumps(argvs)))
+        assert [code for code, _, _ in cold] == [0, 1, 0, 1]
+        assert all(json.loads(out)["verified"] is True for _, out, _ in cold)
+        assert [loaded for _, _, loaded in cold] == [[]] * 4
 
     def test_oracle_names_resolve_on_the_package_root(self):
         from anticirculant import oracle
@@ -311,7 +317,29 @@ class TestNumpyLoadsOnDemand:
             warm.append([code, capsys.readouterr().out])
         assert [row[:2] for row in cold] == warm
         assert [row[0] for row in cold] == [4, 0, 0, 0]
-        assert cold[0][2] is True
+        assert "numpy" in cold[0][2]
+
+    def test_combinatorics_commands_import_it_on_demand(self, capsys):
+        argvs = [
+            ["sums", "6", "3", "1,-1"],
+            ["sums", "4", "2", "1,1", "--json"],
+            ["signfacts"],
+            ["signfacts", "--json"],
+            ["theorem1", "2", "1,2,3"],
+            ["theorem1", "3", "1,0", "--json"],
+        ]
+        cold = json.loads(_cold(_COLD_CLI, json.dumps(argvs)))
+        warm = []
+        for argv in argvs:
+            code = main(argv)
+            warm.append([code, capsys.readouterr().out])
+        assert [row[:2] for row in cold] == warm
+        assert [row[0] for row in cold] == [0] * 6
+        assert cold[0][1] == ("m=6 r=3 pattern=(1, -1)\nS_0 = -18\nS_1 = 9\nS_2 = 9\n"
+                              "total = 0 (equals (sum pattern)^m = 0)\n")
+        assert cold[4][1] == "M=2 p=3 u=(1, 2, 3)\nD = (0, -3, 3)\nverdict: MixedSigns\n"
+        assert all("anticirculant.combinatorics" in loaded for _, _, loaded in cold)
+        assert all("dataclasses" not in loaded for _, _, loaded in cold)
 
 
 class TestInternalError:
