@@ -293,10 +293,15 @@ def strong_hankel_check(
     """
     alpha, beta = cert.v0 * cert.t, cert.v0 * (1.0 - cert.t)
     even, odd = alpha + beta, alpha - beta
-    # a spec's vector repeats its seed's objects, so each parity visits r of them
-    residual = max(max(abs(float(t) - even) for t in distinct(gen.v[0::2])),
-                   max(abs(float(t) - odd) for t in distinct(gen.v[1::2])))
     entries = distinct(gen.v)
+    evens, odds = gen.v[0::2], gen.v[1::2]
+    if any(type(t) is Fraction for t in entries):
+        # float() of a Fraction divides in Python, and a spec's vector repeats
+        # its seed's objects: visit each once per parity.  For floats and ints
+        # the deduplicating dicts cost more than the float() calls they save.
+        evens, odds = distinct(evens), distinct(odds)
+    residual = max(max(abs(float(t) - even) for t in evens),
+                   max(abs(float(t) - odd) for t in odds))
     slack = (2 * _effective_tol(entries, rel_tol)
              + CERTIFICATE_ULPS * math.ulp(1.0) * _scale(entries))
     size = (len(gen.v) + 1) // 2

@@ -624,6 +624,147 @@ class TestResidueRoute:
             assert polyeval._repeat(keys) == brute
 
 
+def _routes(monkeypatch):
+    """Per kernel path, the calls ``cyclic_power`` makes from now on:
+    ``packed`` gets ``(r, width in bits)``, ``loop`` gets r."""
+    seen = {"packed": [], "loop": []}
+    packed, loop = polyeval._packed_power, polyeval._cyclic_products
+
+    def recording_packed(folded, m, b):
+        seen["packed"].append((len(folded), len(folded) * b))
+        return packed(folded, m, b)
+
+    def recording_loop(folded, m, r):
+        seen["loop"].append(r)
+        return loop(folded, m, r)
+
+    monkeypatch.setattr(polyeval, "_packed_power", recording_packed)
+    monkeypatch.setattr(polyeval, "_cyclic_products", recording_loop)
+    return seen
+
+
+def _folded_power(x, m, r):
+    """``cyclic_power``'s reference: the schoolbook power of p(z), folded mod r."""
+    power = [1]
+    for _ in range(m):
+        power = [sum(c * x[i - j] for j, c in enumerate(power) if 0 <= i - j < len(x))
+                 for i in range(len(power) + len(x) - 1)]
+    out = [0] * r
+    for s, c in enumerate(power):
+        out[s % r] += c
+    return out
+
+
+def _both_paths(monkeypatch, x, m, r):
+    """``cyclic_power(x, m, r)`` through the packed path and through the loop."""
+    monkeypatch.setattr(polyeval, "PACKED_BITS_MAX", math.inf)
+    packed = cyclic_power(x, m, r)
+    monkeypatch.setattr(polyeval, "PACKED_BITS_MAX", -1)
+    looped = cyclic_power(x, m, r)
+    monkeypatch.undo()
+    return packed, looped
+
+
+class TestPackedPower:
+    """Kronecker substitution in ``cyclic_power``: the loop's integers, for int input."""
+
+    def test_packed_equals_the_loop_and_enumeration(self, monkeypatch):
+        # negative entries, zeros, r = 1, m = 1, r > L, entries of 0 to 200 bits
+        rng = random.Random(21)
+        checked = 0
+        for trial in range(1500):
+            m, n = rng.randint(1, 12), rng.randint(1, 7)
+            bits = rng.choice((0, 1, 2, 8, 30, 60, 120, 200))
+            x = [rng.choice((0, rng.randint(-(1 << bits), 1 << bits))) for _ in range(n)]
+            r = rng.choice((1, rng.randint(1, genvec_length(m, n) + 5)))
+            packed, looped = _both_paths(monkeypatch, x, m, r)
+            assert packed == looped == _folded_power(x, m, r)
+            assert [type(t) for t in packed] == [int] * r
+            if m > 1 and n > 1 and n**m <= 4096 and trial % 5 == 0:
+                assert packed == _naive_residue_sums(x, m, r)
+                checked += 1
+        assert checked >= 100
+
+    def test_edge_shapes(self, monkeypatch):
+        cases = [
+            ([0, 0, 0], 5, 2),          # x = 0
+            ([7], 9, 1),                # r = 1, n = 1
+            ([3, -2, 5], 1, 2),         # m = 1: the folded x
+            ([-1, 1], 7, 1),            # the sum is 0
+            ([1, -1, 2], 4, 40),        # r > L = 9
+            ([-(1 << 200), 1 << 199, 0, -1], 3, 5),
+            ([0, 0, 5], 6, 3),          # only x_3: folded to index 2
+        ]
+        for x, m, r in cases:
+            packed, looped = _both_paths(monkeypatch, x, m, r)
+            assert packed == looped == _folded_power(x, m, r)
+
+    def test_cutoff_splits_the_routes(self, monkeypatch):
+        # the width span * b, b = m * bits(sum |F_k|) + 2, on each side of the cutoff
+        limit = polyeval.PACKED_BITS_MAX
+        m, r = 8, 4
+        s = (limit // r - 2) // m  # the widest sum that still packs, in bits
+        assert r * (m * s + 2) <= limit < r * (m * (s + 1) + 2)
+        below, above = [1 << (s - 1), -3, 0, 1], [1 << s, -3, 0, 1]
+        seen = _routes(monkeypatch)
+        values = [cyclic_power(x, m, r) for x in (below, above)]
+        # past L - 1 = degree of F**m nothing wraps, and only L slots pack
+        cyclic_power([1, -1, 2], 4, 40)
+        assert seen == {"packed": [(r, r * (m * s + 2)), (9, 9 * (4 * 3 + 2))], "loop": [r]}
+        monkeypatch.undo()
+        for x, value in zip((below, above), values):
+            packed, looped = _both_paths(monkeypatch, x, m, r)
+            assert packed == looped == value
+
+    def test_non_int_input_keeps_the_loop(self, monkeypatch):
+        seen = _routes(monkeypatch)
+        for x in ((0.5, -1, 2), (Fraction(1, 3), 2, 0), (1, 2.0, 3)):
+            cyclic_power(x, 4, 3)
+        assert seen == {"packed": [], "loop": [3, 3, 3]}
+        # zeros of any type are skipped, bools fold into ints
+        cyclic_power((0.0, Fraction(0), True, 2), 4, 3)
+        assert seen["packed"] == [(3, 3 * (4 * 2 + 2))]
+
+    def test_covered_specs_take_the_packed_path(self, monkeypatch):
+        # classify over shapes and seeds like the covered bench workload's:
+        # int, Fraction and float seeds, PSD and not; every kernel call packs
+        seen = _routes(monkeypatch)
+        from anticirculant.classifier import classify
+
+        shapes = ((6, 7, 1), (8, 5, 3), (12, 8, 3), (18, 6, 3), (30, 5, 2), (20, 6, 2),
+                  (10, 10, 6), (6, 10, 4), (4, 20, 4))
+        rng = random.Random(22)
+        for m, n, r in shapes:
+            for a in (100 * rng.randint(1, 20), Fraction(rng.randint(20, 100), rng.randint(1, 12)),
+                      rng.uniform(0.5, 2.0)):
+                b = a + a // 2 if type(a) is int else a * 3 / 2
+                off_rule = [a, -b] * (r // 2) if r % 2 == 0 else [-b] + [a] * (r - 1)
+                seeds = [[a] * r, [-a] * r, [a] * (r - 1) + [b], off_rule]
+                for seed in seeds:
+                    classify(CirculantSpec(m, n, r, tuple(seed)))
+        assert len(seen["packed"]) >= 50
+        assert seen["loop"] == []
+        assert max(width for _, width in seen["packed"]) <= polyeval.PACKED_BITS_MAX
+
+    def test_residue_components_keep_their_types_and_float_bits(self):
+        # float and Fraction input keeps the product loop: reprs of its values
+        cases = [
+            (CirculantSpec(6, 3, 3, (1, 1, 1)), (0.4, -1.1, 0.3),
+             "(5.867086000000002, -1.031415, -4.831575000000002)"),
+            (CirculantSpec(8, 5, 4, (1, 2, 1, 2)), (0.1, -0.7, 0.25, 1e-3, -2.5),
+             "(328.670319223116, 2480.3897484694044, 1851.4033219536018, -319.965055120364)"),
+            (CirculantSpec(12, 4, 2, (1, -1)), (1.5, 0, -0.3, 2),
+             "(576460.7866631617, 576460.717943685)"),
+            (CirculantSpec(6, 5, 4, (1, 1, 1, 1)), (Fraction(1, 3), 2, 0.5, -1, 0),
+             "(357.1697530864198, 129.74382716049385, -338.1843921467764, -110.75848765432102)"),
+            (CirculantSpec(4, 4, 3, (1, 2, 5)), (Fraction(1, 2), True, 2, -1),
+             "(Fraction(1, 2), Fraction(193, 16), Fraction(53, 2))"),
+            (CirculantSpec(4, 4, 3, (1, 2, 5)), (0, True, 2.0 - 2.0, -1), "(6, -3, -3)"),
+        ]
+        for spec, x, expected in cases:
+            parts = residue_components(spec, x)
+            assert repr(parts) == expected
+
 
 def _mixed_case(rng):
     """A generating vector and a point mixing float, int, Fraction and bool
