@@ -30,6 +30,7 @@ positive semidefinite Hankel tensor, so odd orders are rejected.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -302,8 +303,11 @@ def strong_hankel_check(
         evens, odds = distinct(evens), distinct(odds)
     residual = max(max(abs(float(t) - even) for t in evens),
                    max(abs(float(t) - odd) for t in odds))
+    scale = _scale(entries)
+    # at a subnormal scale ulp(1.0) * scale underflows, while alpha = v0 * t
+    # still rounds to the subnormal grid: one ulp of scale is the floor
     slack = (2 * _effective_tol(entries, rel_tol)
-             + CERTIFICATE_ULPS * math.ulp(1.0) * _scale(entries))
+             + CERTIFICATE_ULPS * max(math.ulp(1.0) * scale, math.ulp(scale)))
     size = (len(gen.v) + 1) // 2
     return StrongHankelResult(
         passed=alpha >= -slack and beta >= -slack and residual <= slack,
@@ -318,6 +322,19 @@ def strong_hankel_check(
 #: coefficient is odd-degree, so any strictly negative leading coefficient
 #: eventually dominates.
 ALPHA_LADDER = tuple(float(2 ** k) for k in range(0, 31))
+#: Each case's own families, tried before the generic tail in this order:
+#: differences of these steps, these sign patterns, then these alpha families
+#: climbing ``ALPHA_LADDER``.
+_CASE_FAMILIES = {
+    Case.COPRIME_ODD: ((1,), (), ()),
+    Case.INDEX_3_SPECIAL: ((1,), ((1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)), ()),
+    Case.INDEX_TWO: ((), ((1, -1), (1, 1)), ()),
+    Case.EVEN_GCD_2: ((2,), ((1, -1), (1, 1)), ("alpha",)),
+    Case.QUARTIC_INDEX_4: (
+        (), ((1, 0, -1, 0), (1, -1, -1, 1), (1, -1), (1, 1)), ("alpha", "alpha-neg")
+    ),
+}
+_NO_FAMILIES = ((), (), ())
 
 
 def _necessary_witnesses(gen: GeneratingVector, tol):
@@ -327,35 +344,46 @@ def _necessary_witnesses(gen: GeneratingVector, tol):
             yield WitnessVector(x, f"unit(e_{j + 1})")
 
 
-def _alpha_witnesses(n: int, families):
-    for alpha in ALPHA_LADDER:
-        for family in families:
-            yield from alpha_witnesses(n, family, alpha)
+# The family records depend only on (case, n), never on the seed, so a
+# process builds them once.  Every verdict gets the same immutable tuples and
+# walks them with its own iterator.
+@functools.lru_cache(maxsize=64)
+def _family_prefix(case: Case | None, n: int) -> tuple[WitnessVector, ...]:
+    """The case's differences and sign patterns."""
+    steps, patterns, _ = _CASE_FAMILIES.get(case, _NO_FAMILIES)
+    out = [w for step in steps for w in differences(n, step)]
+    return tuple(out + pattern_witnesses(n, patterns))
+
+
+@functools.lru_cache(maxsize=256)
+def _alpha_rung(case: Case, n: int, alpha: float) -> tuple[WitnessVector, ...]:
+    """The case's alpha families at one ``ALPHA_LADDER`` value."""
+    families = _CASE_FAMILIES[case][2]
+    return tuple(w for family in families for w in alpha_witnesses(n, family, alpha))
+
+
+@functools.lru_cache(maxsize=64)
+def _generic_tail(n: int) -> tuple[WitnessVector, ...]:
+    """Everything that fits, so no covered case can fall through to the
+    oracle merely because its family list was too narrow."""
+    out = differences(n, 1)
+    if n >= 3:
+        out += differences(n, 2)
+    return tuple(out + pattern_witnesses(n, NAMED_PATTERNS))
 
 
 def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
-    """Candidate witnesses in a fixed canonical order, case-specific first."""
+    """Candidate witnesses in a fixed canonical order, case-specific first.
+
+    A rung of the alpha ladder is built when a verdict first reads it.
+    """
     yield from _necessary_witnesses(gen, tol)
     n = gen.n
-    if case in (Case.COPRIME_ODD, Case.INDEX_3_SPECIAL):
-        yield from differences(n, 1)
-    if case == Case.INDEX_3_SPECIAL:
-        yield from pattern_witnesses(n, ((1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)))
-    if case == Case.INDEX_TWO:
-        yield from pattern_witnesses(n, ((1, -1), (1, 1)))
-    if case == Case.EVEN_GCD_2:
-        yield from differences(n, 2)
-        yield from pattern_witnesses(n, ((1, -1), (1, 1)))
-        yield from _alpha_witnesses(n, ("alpha",))
-    if case == Case.QUARTIC_INDEX_4:
-        yield from pattern_witnesses(n, ((1, 0, -1, 0), (1, -1, -1, 1), (1, -1), (1, 1)))
-        yield from _alpha_witnesses(n, ("alpha", "alpha-neg"))
-    # Generic tail: everything that fits, so no covered case can fall through
-    # to the oracle merely because its family list was too narrow.
-    yield from differences(n, 1)
-    if n >= 3:
-        yield from differences(n, 2)
-    yield from pattern_witnesses(n, NAMED_PATTERNS)
+    yield from _family_prefix(case, n)
+    if _CASE_FAMILIES.get(case, _NO_FAMILIES)[2]:
+        for alpha in ALPHA_LADDER:
+            yield from _alpha_rung(case, n, alpha)
+    yield from _generic_tail(n)
 
 
 def _hankel_eigenvector(gen: GeneratingVector) -> WitnessVector:

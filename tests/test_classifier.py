@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,16 @@ from anticirculant.classifier import (
 from anticirculant.oracle import SplitMix64, matrix_psd, sphere_min
 from anticirculant import polyeval
 from anticirculant.polyeval import cyclic_power, eval_exact, eval_fast
-from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
+from anticirculant.tensor import (
+    NAMED_PATTERNS,
+    CirculantSpec,
+    GeneratingVector,
+    alpha_witnesses,
+    differences,
+    expand,
+    hankel_matrix,
+    pattern_witnesses,
+)
 
 
 class TestNecessaryConditions:
@@ -318,6 +329,133 @@ class TestExactArbiter:
         assert set(seen) == {4}
 
 
+def _reference_candidates(case, gen, tol):
+    """The candidate sequence as a generator that builds every record on each
+    call: the reference for the cached families."""
+    yield from classifier_mod._necessary_witnesses(gen, tol)
+    n = gen.n
+    if case in (Case.COPRIME_ODD, Case.INDEX_3_SPECIAL):
+        yield from differences(n, 1)
+    if case == Case.INDEX_3_SPECIAL:
+        yield from pattern_witnesses(n, ((1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)))
+    if case == Case.INDEX_TWO:
+        yield from pattern_witnesses(n, ((1, -1), (1, 1)))
+    if case == Case.EVEN_GCD_2:
+        yield from differences(n, 2)
+        yield from pattern_witnesses(n, ((1, -1), (1, 1)))
+        for alpha in classifier_mod.ALPHA_LADDER:
+            yield from alpha_witnesses(n, "alpha", alpha)
+    if case == Case.QUARTIC_INDEX_4:
+        yield from pattern_witnesses(n, ((1, 0, -1, 0), (1, -1, -1, 1), (1, -1), (1, 1)))
+        for alpha in classifier_mod.ALPHA_LADDER:
+            for family in ("alpha", "alpha-neg"):
+                yield from alpha_witnesses(n, family, alpha)
+    yield from differences(n, 1)
+    if n >= 3:
+        yield from differences(n, 2)
+    yield from pattern_witnesses(n, NAMED_PATTERNS)
+
+
+def _drain(candidates):
+    """Each record's repr (which tells 2 from 2.0) up to the end or the first error."""
+    out = []
+    try:
+        for witness in candidates:
+            out.append(repr(witness))
+    except ValueError as exc:
+        out.append(f"ValueError: {exc}")
+    return out
+
+
+def _clear_family_caches():
+    for cached in (classifier_mod._family_prefix, classifier_mod._alpha_rung,
+                   classifier_mod._generic_tail):
+        cached.cache_clear()
+
+
+#: NotPSD specs over every covered case, some of which climb the alpha ladder.
+NOT_PSD_BATTERY = (
+    CirculantSpec(4, 4, 1, (-1,)),
+    CirculantSpec(8, 5, 3, (1, 1, 2)),
+    CirculantSpec(6, 4, 3, (1, 1, 2)),
+    CirculantSpec(12, 8, 3, (2, 1, 2)),
+    CirculantSpec(4, 4, 2, (1, 1.2)),
+    CirculantSpec(20, 6, 2, (1, -3)),
+    CirculantSpec(6, 5, 4, (1.697658410866139, -1.697658410869975) * 2),
+    CirculantSpec(6, 10, 4, (2, 1, 2.5, 1)),
+    CirculantSpec(4, 6, 4, (1, 0.5, 1, 0.7)),
+    CirculantSpec(4, 20, 4, (44, Fraction(759, 25), 44, 33)),
+    CirculantSpec(4, 4, 4, (1.0, -1.09, 1.0, -1.18)),
+)
+
+
+class TestWitnessFamilies:
+    """Each (case, n) builds its family records once; the sequence is the old one."""
+
+    @pytest.mark.parametrize("case", [*Case, None])
+    def test_cached_sequence_matches_the_reference(self, case):
+        for n in range(2, 13):
+            # v[0] < 0 puts the unit witness e_1 in front of the families
+            gen = GeneratingVector(2, n, (-1,) + (1,) * (2 * n - 2))
+            reference = _drain(_reference_candidates(case, gen, 0))
+            _clear_family_caches()
+            assert _drain(classifier_mod._witness_candidates(case, gen, 0)) == reference
+            # the second walk reads every record from the caches
+            assert _drain(classifier_mod._witness_candidates(case, gen, 0)) == reference
+
+    def test_records_are_built_once(self):
+        _clear_family_caches()
+        first = classifier_mod._family_prefix(Case.QUARTIC_INDEX_4, 6)
+        assert classifier_mod._family_prefix(Case.QUARTIC_INDEX_4, 6) is first
+        rung = classifier_mod._alpha_rung(Case.QUARTIC_INDEX_4, 6, 2.0)
+        assert classifier_mod._alpha_rung(Case.QUARTIC_INDEX_4, 6, 2.0) is rung
+        assert classifier_mod._generic_tail(6) is classifier_mod._generic_tail(6)
+
+    def test_rungs_are_built_when_first_read(self):
+        _clear_family_caches()
+        verdict = classify(CirculantSpec(4, 20, 4, (44, Fraction(759, 25), 44, 33)))
+        assert verdict.witness.label == "alpha(q=1, alpha=2.0)"
+        # the verdict stopped at the first record of the second rung
+        assert classifier_mod._alpha_rung.cache_info().currsize == 2
+
+    def test_cold_and_warm_verdicts_agree(self):
+        cold = []
+        for spec in NOT_PSD_BATTERY:
+            _clear_family_caches()
+            cold.append(classify(spec, evidence_starts=8).to_dict())
+        warm = [classify(spec, evidence_starts=8).to_dict() for spec in NOT_PSD_BATTERY]
+        assert all(doc["status"] == "NotPSD" for doc in cold)
+        assert warm == cold
+
+    def test_threads_agree(self):
+        specs = [CirculantSpec(4, 20, 4, (44, Fraction(759, 25), 44, 33)),
+                 CirculantSpec(4, 20, 4, (1, 0.5, 1, 0.7)),
+                 CirculantSpec(4, 20, 4, (1, -1.5, 1, -1.5))]
+        expected = [classify(spec).to_dict() for spec in specs]
+        results, errors = [None] * 4, []
+
+        def worker(k):
+            try:
+                results[k] = [classify(spec).to_dict() for spec in specs * 3]
+            except Exception as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        _clear_family_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [expected * 3] * 4
+
+
 def _check(spec, rel_tol=1e-12):
     gen = expand(spec)
     return strong_hankel_check(gen, power_sum_certificate(gen, 0.0), rel_tol)
@@ -377,6 +515,19 @@ class TestStrongHankel:
         assert verdict.status == Status.PSD
         assert strong_hankel_check(expand(spec), verdict.certificate, 0.5).passed
         assert not strong_hankel_check(expand(spec), verdict.certificate).passed
+
+    @pytest.mark.parametrize("spec", [
+        CirculantSpec(2, 2, 2, (1e-320, -5e-324)),
+        CirculantSpec(8, 3, 2, (5e-324, -0.0)),
+    ])
+    def test_subnormal_seed_passes_the_check(self, spec):
+        # alpha = v0 * t lands one subnormal ulp off, where ulp(1.0) * max|v|
+        # underflows to zero: the slack keeps at least one ulp of max|v|
+        verdict = classify(spec)
+        assert verdict.status == Status.PSD
+        check = strong_hankel_check(expand(spec), verdict.certificate)
+        assert check.passed
+        assert 0 < check.residual <= check.slack
 
     def test_floor_matches_eigenvalues(self):
         for spec in (

@@ -130,6 +130,17 @@ class TestClassifyCommand:
         assert main(["classify", doc, "--verify"]) == 0
         assert "status reproduced" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [[1e-320, -5e-324], [5e-324, -0.0]])
+    def test_verify_at_subnormal_scale(self, tmp_path, capsys, seed):
+        m, n = (2, 2) if seed[0] == 1e-320 else (8, 3)
+        doc = write_doc(tmp_path, "tiny.json", {"m": m, "n": n, "r": 2, "seed": seed})
+        assert main(["classify", doc, "--verify", "--json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["status"] == "PSD"
+        assert payload["verified"] is True
+        assert captured.err == ""
+
     def test_verify_near_float_max(self, tmp_path, capsys):
         doc = write_doc(tmp_path, "big.json", {"m": 4, "n": 4, "r": 2, "seed": [1e308, -1e308]})
         assert main(["classify", doc, "--verify", "--json"]) == 0
