@@ -1,14 +1,16 @@
 """Positive semidefiniteness of generalized anti-circulant Hankel tensors.
 
 Construct Hankel tensors from generating vectors, classify positive
-semidefiniteness through closed-form seed criteria, emit verifiable
-power-sum and strong-Hankel certificates or explicit negative witnesses,
-and cross-check everything against exact combinatorics and an independent
-numerical sphere-minimization oracle.
+semidefiniteness through closed-form seed criteria, emit power-sum and
+strong-Hankel certificates checked by exact identity
+(``strong_hankel_check``) or explicit negative witnesses, and cross-check
+everything against exact combinatorics and an independent numerical
+sphere-minimization oracle.
 
 The package root holds the Library API of the README; everything else is
 reached through its module (``anticirculant.polyeval``, ``.combinatorics``, ...).
-``matrix_psd`` and ``sphere_min`` resolve on first access, so that importing
+``matrix_psd`` (a numerical PSD test of a symmetric matrix from LAPACK's
+eigenvalues) and ``sphere_min`` resolve on first access, so that importing
 the package does not import numpy.
 """
 

@@ -1,6 +1,6 @@
 """Command-line surface with stable exit codes and file formats.
 
-Subcommands: classify, eval, sums, signfacts, certify, oracle, theorem1,
+Subcommands: classify, eval, sums, signfacts, oracle, theorem1,
 hankelmatrix.  Exit codes are a contract::
 
     0  PSD / success
@@ -25,14 +25,19 @@ Comma-separated number lists (vectors, patterns, sequences) accept ``-1``,
 exact where exactness matters.  Results go to standard output, diagnostics
 to standard error; RNG seeds default to 0 and are always printed.
 
+``classify --verify`` is the CLI's certificate check: it re-checks the
+verdict's certificate or witness exactly, from its parsed JSON document, and
+exits 3 if it does not hold.  ``hankelmatrix`` reports LAPACK's eigenvalues
+of the associated Hankel matrix, a numerical answer.
+
 numpy is imported only by the commands that do numeric work: ``oracle``,
-``hankelmatrix``, ``certify`` (its sampled diagnostic), and a ``classify``
-that runs the sphere search: an Uncovered verdict, or a NotPSD one that no
-witness family refutes.  A covered ``classify``, with or without
-``--verify``, and ``eval``, ``sums``, ``signfacts`` and ``theorem1`` run in
-pure Python.  ``combinatorics`` is imported only by ``sums``, ``signfacts``
-and ``theorem1``, so a covered ``classify`` imports neither numpy, the
-standard library's ``dataclasses``, nor ``combinatorics``.
+``hankelmatrix``, and a ``classify`` that runs the sphere search: an
+Uncovered verdict, or a NotPSD one that no witness family refutes.  A
+covered ``classify``, with or without ``--verify``, and ``eval``, ``sums``,
+``signfacts`` and ``theorem1`` run in pure Python.  ``combinatorics`` is
+imported only by ``sums``, ``signfacts`` and ``theorem1``, so a covered
+``classify`` imports neither numpy, the standard library's ``dataclasses``,
+nor ``combinatorics``.
 """
 
 from __future__ import annotations
@@ -162,11 +167,6 @@ def load_spec_document(path: str):
         raise CliInputError(f"{path}: {exc}") from None
 
 
-def _emit(lines) -> None:
-    for line in lines:
-        print(line)
-
-
 def _fmt(value) -> str:
     if value is None:
         return "none"
@@ -265,7 +265,7 @@ def cmd_classify(args) -> int:
             payload["verified"] = verified
         print(json.dumps(payload))
     else:
-        _emit(_verdict_lines(verdict))
+        print("\n".join(_verdict_lines(verdict)))
         if verified is not None:
             print(f"verify: status {'reproduced' if verified else 'NOT reproduced'}")
     if verified is False:
@@ -375,44 +375,6 @@ def cmd_signfacts(args) -> int:
     return 0
 
 
-def cmd_certify(args) -> int:
-    subject, verdict = _classify_document(args)
-    gen = _gen_of(subject)
-
-    if verdict.status is not classifier.Status.PSD:
-        if args.json:
-            print(json.dumps(verdict.to_dict()))
-        else:
-            _emit(_verdict_lines(verdict))
-        print("no certificate: status is " + verdict.status.value, file=sys.stderr)
-        return STATUS_EXIT[verdict.status]
-
-    cert = verdict.certificate
-    check = classifier.strong_hankel_check(gen, cert, verdict.tolerance)
-    _, worst = classifier.verify_power_sum(gen, cert, points=args.points, rng_seed=args.seed)
-    report = {
-        "power_sum": {
-            "v0": cert.v0, "t": cert.t, "residual": check.residual, "slack": check.slack,
-            "passed": check.passed, "points": args.points, "rng_seed": args.seed,
-            "max_rel_err": worst,
-        },
-        "strong_hankel": {
-            "min_eigenvalue": check.min_eigenvalue, "size": check.size, "passed": check.passed,
-        },
-    }
-    word = "PASS" if check.passed else "FAIL"
-    if args.json:
-        print(json.dumps(report))
-    else:
-        print(f"power-sum: v0={_fmt(cert.v0)} t={_fmt(cert.t)} "
-              f"residual={check.residual:.3e} slack={check.slack:.3e}: {word}")
-        print(f"sampled: {args.points} points (rng_seed={args.seed}) "
-              f"max_rel_err={worst:.3e} [diagnostic]")
-        print(f"strong-hankel: size={check.size} "
-              f"min_eigenvalue={_fmt(check.min_eigenvalue)}: {word}")
-    return 0 if check.passed else 3
-
-
 def cmd_oracle(args) -> int:
     from . import oracle
 
@@ -471,6 +433,11 @@ def cmd_hankelmatrix(args) -> int:
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     result = oracle.matrix_psd(hm.a)
+    # the entries are finite, so an eigenvalue that is not comes from overflow
+    try:
+        tensor._require_finite(result.eigenvalues, "eigenvalue")
+    except ValueError:
+        raise CliInputError("an eigenvalue of the Hankel matrix overflows float64") from None
     if args.json:
         print(json.dumps({
             "size": hm.size,
@@ -538,16 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("signfacts", help="recompute the full sign-fact table")
     add_json(p)
     p.set_defaults(func=cmd_signfacts)
-
-    p = sub.add_parser("certify", help="verify the certificates of a PSD verdict")
-    add_spec(p)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--points", type=int, default=1000,
-                   help="points of the sampled diagnostic (default 1000)")
-    p.add_argument("--starts", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    add_json(p)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("oracle", help="multistart sphere minimum estimate")
     add_spec(p)

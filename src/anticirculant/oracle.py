@@ -40,9 +40,9 @@ clamped to ``±sys.float_info.max`` past it, so float cancellation in the
 search's own values never reaches it; if no point has a finite float64
 value, there is no argmin and no ``min_value``.
 
-``matrix_psd`` decides matrix positive semidefiniteness with a hand-rolled
-cyclic Jacobi eigenvalue iteration, deliberately independent of any library
-eigensolver so that library and oracle cannot share a bug.
+``matrix_psd`` decides matrix positive semidefiniteness numerically from
+LAPACK's symmetric eigenvalues (``np.linalg.eigvalsh``).  No verdict path
+runs it; certificates are checked by exact identity in ``classifier``.
 
 Randomness is a splitmix-style 64-bit mixing generator, written out below so
 results reproduce across implementations::
@@ -347,75 +347,28 @@ class MatrixPsdResult(_Record):
     passed: bool
     min_eigenvalue: float
     eigenvalues: tuple
-    sweeps: int
 
-    def __init__(self, passed: bool, min_eigenvalue: float, eigenvalues: tuple, sweeps: int):
-        self.__dict__.update(passed=passed, min_eigenvalue=min_eigenvalue,
-                             eigenvalues=eigenvalues, sweeps=sweeps)
-
-
-def jacobi_eigenvalues(matrix, off_tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair in row order until the off-diagonal
-    Frobenius norm drops below ``off_tol`` times the (rotation-invariant)
-    Frobenius norm of the input.  Returns (sorted eigenvalues, sweeps used).
-    """
-    a = np.array(matrix, dtype=float)
-    size = a.shape[0]
-    frob = math.sqrt(float((a * a).sum()))
-    threshold = off_tol * frob
-    sweeps = 0
-    while True:
-        off = math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-        if off <= threshold:
-            break
-        if sweeps >= max_sweeps:
-            raise RuntimeError(
-                f"Jacobi iteration failed to reach off-norm {threshold} "
-                f"in {max_sweeps} sweeps (off-norm {off})"
-            )
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                tau = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau  # tau * tau would overflow; the asymptote is exact here
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-    return np.sort(np.diag(a)), sweeps
+    def __init__(self, passed: bool, min_eigenvalue: float, eigenvalues: tuple):
+        self.__dict__.update(passed=passed, min_eigenvalue=min_eigenvalue, eigenvalues=eigenvalues)
 
 
 def matrix_psd(matrix, psd_tol: float = 1e-9) -> MatrixPsdResult:
-    """Pass iff the minimum Jacobi eigenvalue is >= -psd_tol * max |entry|."""
+    """Pass iff the smallest eigenvalue is >= -psd_tol * max |entry|.
+
+    The eigenvalues are LAPACK's (``np.linalg.eigvalsh``), in ascending order;
+    LAPACK scales the matrix internally, so entries near the ends of the
+    float64 range neither overflow nor underflow on the way.
+    """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     max_abs = float(np.abs(m).max()) if m.size else 0.0
     if float(np.abs(m - m.T).max()) > 1e-12 * max(1.0, max_abs):
         raise ValueError("matrix is not symmetric within 1e-12")
-    eigs, sweeps = jacobi_eigenvalues(m)
+    eigs = np.linalg.eigvalsh(m)
     min_eig = float(eigs[0])
     return MatrixPsdResult(
         passed=min_eig >= -psd_tol * max_abs,
         min_eigenvalue=min_eig,
         eigenvalues=tuple(float(t) for t in eigs),
-        sweeps=sweeps,
     )

@@ -159,7 +159,14 @@ class TestClassifyCommand:
         monkeypatch.setattr(oracle, "matrix_psd", forbidden)
         monkeypatch.setattr(classifier, "hankel_matrix", forbidden)
         assert main(["classify", psd_doc, "--verify"]) == 0
-        assert main(["certify", psd_doc]) == 0
+
+    def test_verify_is_the_only_certificate_command(self, psd_doc, capsys):
+        # there is no sampled `certify` command: argparse rejects it, exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", psd_doc])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "certify" in err
 
     def test_genvec_document(self, genvec_doc, capsys):
         code = main(["classify", genvec_doc])
@@ -195,7 +202,6 @@ class TestClassifyCommand:
         doc = write_doc(tmp_path, "near.json", payload)
         assert main(["classify", doc, "--tolerance", "0.1", "--verify"]) == 0
         assert "status reproduced" in capsys.readouterr().out
-        assert main(["certify", doc, "--tolerance", "0.1"]) == 0
 
     def test_tolerance_field_in_document(self, tmp_path, capsys):
         doc = write_doc(
@@ -319,7 +325,6 @@ class TestNumpyLoadsOnDemand:
             ["classify", uncovered_doc, "--starts", "8"],
             ["oracle", uncovered_doc, "--starts", "8", "--json"],
             ["hankelmatrix", psd_doc],
-            ["certify", psd_doc, "--points", "50", "--json"],
         ]
         cold = json.loads(_cold(_COLD_CLI, json.dumps(argvs)))
         warm = []
@@ -327,7 +332,7 @@ class TestNumpyLoadsOnDemand:
             code = main(argv)
             warm.append([code, capsys.readouterr().out])
         assert [row[:2] for row in cold] == warm
-        assert [row[0] for row in cold] == [4, 0, 0, 0]
+        assert [row[0] for row in cold] == [4, 0, 0]
         assert "numpy" in cold[0][2]
 
     def test_combinatorics_commands_import_it_on_demand(self, capsys):
@@ -633,47 +638,6 @@ class TestSumsAndSignFacts:
         assert all(row["passed"] for row in rows)
 
 
-class TestCertifyCommand:
-    def test_psd_certificates_verified(self, tmp_path, capsys):
-        doc = write_doc(tmp_path, "c.json", {"m": 4, "n": 3, "r": 1, "seed": [2]})
-        assert main(["certify", doc]) == 0
-        out = capsys.readouterr().out
-        assert "power-sum" in out and "PASS" in out
-        assert "strong-hankel" in out
-
-    def test_sample_is_a_diagnostic(self, tmp_path, capsys, monkeypatch):
-        # a failing sample does not fail the certificate: the identity decides
-        from anticirculant import classifier
-
-        doc = write_doc(tmp_path, "c.json", {"m": 30, "n": 5, "r": 2, "seed": [1.0, -0.3]})
-        monkeypatch.setattr(classifier, "verify_power_sum", lambda *a, **k: (False, 1.0))
-        assert main(["certify", doc, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["power_sum"]["max_rel_err"] == 1.0
-        assert payload["power_sum"]["passed"] is True
-
-    def test_sampled_error_at_high_order(self, tmp_path, capsys):
-        doc = write_doc(tmp_path, "c.json", {"m": 30, "n": 5, "r": 2, "seed": [1.0, -0.3]})
-        assert main(["certify", doc, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["power_sum"]["max_rel_err"] <= 1e-12
-
-    def test_not_psd_has_no_certificate(self, notpsd_doc, capsys):
-        assert main(["certify", notpsd_doc]) == 1
-        captured = capsys.readouterr()
-        assert "no certificate" in captured.err
-        assert "status: NotPSD" in captured.out
-
-    def test_uncovered_exit(self, uncovered_doc, capsys):
-        assert main(["certify", uncovered_doc]) == 4
-
-    def test_json_report(self, psd_doc, capsys):
-        assert main(["certify", psd_doc, "--json", "--points", "100"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["power_sum"]["passed"] is True
-        assert payload["power_sum"]["points"] == 100
-        assert payload["strong_hankel"]["passed"] is True
-
-
 class TestOracleCommand:
     def test_deterministic_output(self, notpsd_doc, capsys):
         assert main(["oracle", notpsd_doc, "--starts", "8"]) == 0
@@ -746,3 +710,24 @@ class TestHankelMatrixCommand:
     def test_odd_order_rejected(self, tmp_path, capsys):
         doc = write_doc(tmp_path, "odd.json", {"m": 3, "n": 3, "genvec": [1] * 7})
         assert main(["hankelmatrix", doc]) == 2
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale_is_not_psd(self, tmp_path, scale):
+        # eigenvalues -scale and 3 * scale; squaring the entries would
+        # overflow or underflow, and a warning would reach stderr
+        doc = write_doc(tmp_path, "scaled.json",
+                        {"m": 2, "n": 2, "genvec": [scale, 2 * scale, scale]})
+        proc = _fresh_process("-m", "anticirculant.cli", "hankelmatrix", doc, "--json")
+        assert proc.returncode == 0 and proc.stderr == ""
+        payload = json.loads(proc.stdout, parse_constant=_no_constant)
+        assert payload["psd"] is False
+        assert payload["eigenvalues"] == pytest.approx([-scale, 3 * scale], rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_eigenvalue_past_float64_exits_2(self, tmp_path, capsys, flags):
+        # finite entries; the largest eigenvalue, about 5.1e308, is not
+        doc = write_doc(tmp_path, "huge.json", {"m": 2, "n": 3, "genvec": [1.7e308] * 5})
+        assert main(["hankelmatrix", doc, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows float64" in captured.err

@@ -112,6 +112,14 @@ def test_hankel_matrix_compares_but_is_unhashable():
         hash(a)
 
 
+def test_matrix_psd_result_fields():
+    # LAPACK's eigenvalues come with no iteration count
+    result = SAMPLES["MatrixPsdResult"]()
+    assert result._fields == ("passed", "min_eigenvalue", "eigenvalues")
+    assert result.passed and result.min_eigenvalue == result.eigenvalues[0]
+    assert list(result.eigenvalues) == sorted(result.eigenvalues) and len(result.eigenvalues) == 3
+
+
 def test_to_dict_keeps_fields_in_order():
     assert CERT.to_dict() == {"kind": "PowerSum", "v0": 1.0, "t": 0.75}
     result = SAMPLES["SphereMinResult"]()
