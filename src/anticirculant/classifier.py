@@ -21,7 +21,9 @@ claim is made, and a clearly non-certified numerical minimum estimate is
 attached as evidence.  NotPSD verdicts carry an explicitly evaluated negative
 witness vector.  A PSD verdict carries the power-sum certificate and the
 strong-Hankel one it implies (the associated Hankel matrix is then
-alpha*11^T + beta*aa^T), both checked by ``strong_hankel_check`` in O(L).
+alpha*11^T + beta*aa^T), both checked by ``strong_hankel_check`` on at
+most 2r entries of v, the window that holds every (seed entry, parity of s)
+pair (``tensor.window``).
 
 Only even orders are classifiable: for odd m the zero tensor is the only
 positive semidefinite Hankel tensor, so odd orders are rejected.
@@ -49,6 +51,7 @@ from .tensor import (
     expand,
     hankel_matrix,
     pattern_witnesses,
+    window,
 )
 
 if TYPE_CHECKING:
@@ -171,8 +174,9 @@ def _scale(values) -> float:
 def _effective_tol(values, rel_tol: float):
     """Absolute comparison slack: zero in exact mode, relative otherwise.
 
-    For a generating vector pass ``distinct(v)``: the same answer from r
-    objects instead of L entries when v is an expanded seed.
+    For a generating vector pass ``distinct(window(gen))``: the window
+    holds every object of v, and for an expanded seed it is r objects
+    instead of L entries.
     """
     if all(isinstance(t, (int, Fraction)) for t in values):
         return 0
@@ -291,15 +295,21 @@ def strong_hankel_check(
     slack is CERTIFICATE_ULPS ulps of max|v| plus twice the seed-comparison
     slack: for even r the rule chains two comparisons (odd seed with v1,
     |v1| with v0), so an accepted seed can miss by both.
+
+    Residual, scale and slack come from ``window(gen)``, all of v unless
+    ``expand`` built it, then its first min(L, 2r) entries: the identity
+    depends only on an entry's object and the parity of s, and the window
+    holds every such pair of v.  Max and all() ignore order, so each is the
+    same float as over all L entries.
     """
     alpha, beta = cert.v0 * cert.t, cert.v0 * (1.0 - cert.t)
     even, odd = alpha + beta, alpha - beta
-    entries = distinct(gen.v)
-    evens, odds = gen.v[0::2], gen.v[1::2]
+    win = window(gen)
+    evens, odds, entries = win[0::2], win[1::2], distinct(win)
     if any(type(t) is Fraction for t in entries):
-        # float() of a Fraction divides in Python, and a spec's vector repeats
-        # its seed's objects: visit each once per parity.  For floats and ints
-        # the deduplicating dicts cost more than the float() calls they save.
+        # float() of a Fraction divides in Python, and v may repeat its
+        # objects: visit each once per parity.  For floats and ints the
+        # deduplicating dicts cost more than the float() calls they save.
         evens, odds = distinct(evens), distinct(odds)
     residual = max(max(abs(float(t) - even) for t in evens),
                    max(abs(float(t) - odd) for t in odds))
@@ -506,7 +516,7 @@ def classify(
         tol = _effective_tol(subject.seed, rel_tol)
         case = _dispatch(subject.m, subject.n, subject.r)
     else:
-        gen, tol, case = subject, _effective_tol(distinct(subject.v), rel_tol), None
+        gen, tol, case = subject, _effective_tol(distinct(window(subject)), rel_tol), None
 
     notes: tuple[str, ...] = ()
     if case == Case.EVEN_GCD_2 and subject.r > subject.n:

@@ -31,7 +31,7 @@ import operator
 import sys
 from fractions import Fraction
 
-from .tensor import DENSE_CAP_DEFAULT, CirculantSpec, GeneratingVector
+from .tensor import DENSE_CAP_DEFAULT, CirculantSpec, GeneratingVector, window
 
 #: Entry types whose arithmetic is exact; any other type makes values round to float64.
 _EXACT_TYPES = frozenset((int, bool, Fraction))
@@ -230,11 +230,16 @@ def _int_form(gen: GeneratingVector):
 
     r is v's smallest period by value, else L; tuple comparison matches the
     objects that ``expand`` repeats by identity, without their ``__eq__``.
+    Period and types are read from ``window(gen)``.  For an expanded seed of
+    q entries with L >= 2q that is the first 2q entries, of which q is a
+    period; their smallest period p <= q is v's: by Fine and Wilf, as
+    p + q <= 2q, gcd(p, q) is a period of the window, so of the seed and v.
+    Otherwise the window is v.
     v is immutable, so the form is computed once per instance and kept on it.
     """
     form = gen.__dict__.get("_int_form")
     if form is None:
-        v = gen.v
+        v = window(gen)
         r = _repeat(v)
         scaled, d = _scaled(v[:r])
         form = scaled, d, r, frozenset(map(type, v))

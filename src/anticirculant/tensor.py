@@ -45,9 +45,9 @@ NAMED_PATTERNS: tuple[tuple[int, ...], ...] = (
 def distinct(values):
     """Each object of ``values`` once, in order of first appearance.
 
-    An expanded seed repeats its r objects over L entries, so a scan of the
-    distinct objects visits r of them; a max or an all() over them is the
-    max or all() over ``values``.
+    A max or an all() over them is the max or all() over ``values``.  The
+    window of an expanded seed (``window``) repeats the seed's r objects
+    over at most 2r entries, so a scan of its distinct objects visits r.
     """
     return dict(zip(map(id, values), values)).values()
 
@@ -145,7 +145,7 @@ class GeneratingVector(_Record):
         _require_finite(v, "generating vector")
 
     def max_abs(self) -> float:
-        return max(abs(float(t)) for t in distinct(self.v))
+        return max(abs(float(t)) for t in distinct(window(self)))
 
 
 class CirculantSpec(_Record):
@@ -187,11 +187,28 @@ def expand(spec: CirculantSpec) -> GeneratingVector:
     """Expand a circulant seed into the full generating vector.
 
     Examples: (m=4, n=3, r=1, seed=(2,)) gives nine 2s; (m=4, n=3, r=3,
-    seed=(1,2,3)) gives (1,2,3,1,2,3,1,2,3).
+    seed=(1,2,3)) gives (1,2,3,1,2,3,1,2,3).  ``CirculantSpec`` validated m,
+    n, r and every seed object, and v holds only those objects, so v is not
+    checked again.  The vector keeps r, off its fields, for ``window``.
     """
     length = genvec_length(spec.m, spec.n)
-    v = (spec.seed * -(-length // spec.r))[:length]
-    return GeneratingVector(spec.m, spec.n, v)
+    gen = GeneratingVector.__new__(GeneratingVector)
+    gen.__dict__.update(m=spec.m, n=spec.n, v=(spec.seed * -(-length // spec.r))[:length],
+                        _seed_r=spec.r)
+    return gen
+
+
+def window(gen: GeneratingVector) -> tuple:
+    """The entries of ``gen.v`` a pass over v reads: ``v[:min(L, 2r)]`` for a
+    vector ``expand`` built from an r-entry seed, all of v for any other.
+
+    The window is exact: s -> s + 2r keeps both s mod r and the parity of
+    s, so the window holds every (object, parity) pair of v, and every seed
+    object, as r <= L.  A max, an all() or a type set over v, or over v's
+    even or odd entries, is the same over the window's.
+    """
+    r = gen.__dict__.get("_seed_r")
+    return gen.v if r is None else gen.v[: 2 * r]
 
 
 def entry(gen: GeneratingVector, idx):

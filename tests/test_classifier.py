@@ -579,8 +579,9 @@ class TestStrongHankel:
         GeneratingVector(4, 3, (1.0, 0.5, 1.0, 0.5000001, 1.0, 0.5, 0.9999, 0.5, 1.0)),
     ])
     def test_residual_is_the_maximum_over_every_entry(self, subject):
-        # the check visits each distinct object once, which gives the max
-        # over all L entries, for the verdict's certificate and a wrong one
+        # the check reads v's window, each distinct object once, which gives
+        # the max over all L entries, for the verdict's certificate and a
+        # wrong one
         gen = subject if isinstance(subject, GeneratingVector) else expand(subject)
         for cert in (power_sum_certificate(gen, 0.0),
                      Certificate(CertificateKind.POWER_SUM, v0=1.0, t=0.3)):
