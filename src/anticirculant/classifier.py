@@ -410,18 +410,23 @@ def _hankel_eigenvector(gen: GeneratingVector) -> WitnessVector:
 
 
 def _find_witness(case, gen, tol, evidence_starts, rng_seed):
-    """The first canonical witness whose value, rounded once, is finite and
-    clears the margin; else the first of those candidates, the sphere argmin
-    and (m = 2) the Hankel eigenvector, most negative value first, that is
-    negative in exact arithmetic, with that value rounded once.  A rounded
-    value below the negative margin is the rounding of a negative f(x).
+    """``(witness, value, exact)``: the first canonical witness whose value,
+    rounded once, clears the margin; else the first of those candidates, the
+    sphere argmin and (m = 2) the Hankel eigenvector, most negative value
+    first, that is negative in exact arithmetic.  A rounded value below the
+    negative margin, ``-inf`` included, is the rounding of a negative f(x).
+    value is f(witness) rounded once and clamped to ``-sys.float_info.max``;
+    exact is f(witness) when it is already known, else None.
     """
     threshold = -WITNESS_REL_MARGIN * gen.max_abs()
     tried = []
     for candidate in _witness_candidates(case, gen, tol):
-        value = rounded(eval_fast(gen, candidate.x))
-        if value < threshold and math.isfinite(value):
-            return candidate, value
+        fast = eval_fast(gen, candidate.x)
+        value = rounded(fast)
+        if value < threshold:
+            if math.isinf(value):  # float input, f(x) past float64
+                return candidate, -sys.float_info.max, eval_exact(gen, candidate.x)
+            return candidate, value, None if type(fast) is float else fast
         tried.append((candidate, value))
     from . import oracle as oracle_mod
 
@@ -429,7 +434,7 @@ def _find_witness(case, gen, tol, evidence_starts, rng_seed):
     if searched.argmin is not None:
         witness = WitnessVector(searched.argmin, "sphere-search")
         if searched.min_value < threshold:
-            return witness, searched.min_value
+            return witness, searched.min_value, None
         tried.append((witness, searched.min_value))
     if gen.m == 2:
         candidate = _hankel_eigenvector(gen)
@@ -438,16 +443,21 @@ def _find_witness(case, gen, tol, evidence_starts, rng_seed):
     for candidate, _ in tried:
         value = eval_exact(gen, candidate.x)
         if value < 0:
-            return candidate, rounded(value)
+            return candidate, rounded(value), value
     raise RuntimeError(
         "seed criterion says not positive semidefinite, but no candidate witness "
         "is negative in exact arithmetic"
     )
 
 
-def _past_float64(what: str, gen: GeneratingVector, x, value: float) -> tuple[str, ...]:
-    """A note giving f(x) as mantissa * 2**e if ``value``, f(x) rounded once, was clamped."""
-    exact = eval_exact(gen, x) if abs(value) == sys.float_info.max else 0
+def _past_float64(what: str, gen: GeneratingVector, x, value: float,
+                  exact=None) -> tuple[str, ...]:
+    """A note giving f(x) as mantissa * 2**e if ``value``, f(x) rounded once, was
+    clamped; f(x) is ``exact`` if given, else evaluated here."""
+    if abs(value) != sys.float_info.max:
+        return ()
+    if exact is None:
+        exact = eval_exact(gen, x)
     if abs(exact) <= sys.float_info.max:
         return ()
     e = exact.numerator.bit_length() - exact.denominator.bit_length()
@@ -476,14 +486,14 @@ def _psd_verdict(case, gen, tol, rel_tol, notes) -> Verdict:
 
 
 def _not_psd_verdict(case, gen, tol, rel_tol, notes, evidence_starts, rng_seed) -> Verdict:
-    witness, value = _find_witness(case, gen, tol, evidence_starts, rng_seed)
+    witness, value, exact = _find_witness(case, gen, tol, evidence_starts, rng_seed)
     return Verdict(
         status=Status.NOT_PSD,
         case=case,
         tolerance=rel_tol,
         witness=witness,
         witness_value=value,
-        notes=notes + _past_float64("the witness value", gen, witness.x, value),
+        notes=notes + _past_float64("the witness value", gen, witness.x, value, exact),
     )
 
 

@@ -17,14 +17,18 @@ with ``v[:r]``.  Every v repeats with its length ``L = (n-1)*m + 1``, where
 nothing wraps and the r coefficients are the whole profile.  Every scalar
 value and gradient is computed in int arithmetic: each int, bool, Fraction
 and float64 is a rational, so one period of v is scaled to integers once
-per ``GeneratingVector`` (``_int_form``) and x on each call, and f(x) is one
-integer over one denominator, given in the input's type (``_typed``).
-``eval_exact`` gives it unrounded.  The sphere search's batch kernel
-(``oracle``) evaluates the same residue sums at roots of unity.
+per ``GeneratingVector`` (``_int_form``), and f(x) is one integer over one
+denominator, given in the input's type (``_typed``).  ``eval_fast`` scales
+x once per distinct point (``_point_form``, a bounded memo: the witness
+scan evaluates a few points per shape, many times); ``eval_exact`` and
+``value_and_gradient`` scale x on each call, as the sphere search's points
+never repeat.  ``eval_exact`` gives f(x) unrounded.  The sphere search's
+batch kernel (``oracle``) evaluates the same residue sums at roots of unity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -189,17 +193,21 @@ def eval_fast(gen: GeneratingVector, x):
     value is exact: a Fraction if some entry of v is one, or x is nonzero
     and some entry of x is one, else an int.  Any other entry makes the
     value a float: the exact value rounded once to float64, so correctly
-    rounded, and ``±inf`` past float64.
+    rounded, and ``±inf`` past float64.  x's integer form comes from the
+    ``_point_form`` memo, its type from x itself.
     """
     _check_dim(gen, x)
-    numerator, denominator = _exact_ratio(gen, x)
+    numerator, denominator = _exact_ratio(gen, _point_form(*x))
     return _typed(_result_type(gen, x), numerator, denominator)
 
 
 def _result_type(gen: GeneratingVector, x) -> type:
     """float, Fraction or int: the type ``eval_fast`` gives f(x) in."""
-    v_types, x_types = _int_form(gen)[3], set(map(type, x))
-    if not _EXACT_TYPES.issuperset(v_types | x_types):
+    v_types = _int_form(gen)[3]
+    if not _EXACT_TYPES.issuperset(v_types):
+        return float
+    x_types = set(map(type, x))
+    if not _EXACT_TYPES.issuperset(x_types):
         return float
     if Fraction in v_types or (Fraction in x_types and any(x)):
         return Fraction
@@ -247,10 +255,31 @@ def _int_form(gen: GeneratingVector):
     return form
 
 
-def _exact_ratio(gen: GeneratingVector, x):
-    """f(x) as ``(numerator, denominator)`` ints, denominator positive."""
+#: Entries of the ``_point_form`` memo.  The covered witness scan reads a
+#: few hundred distinct points in all (the families depend only on the case
+#: and n); an entry holds one point's values and types, its ints and d_x.
+POINT_MEMO_SIZE = 1024
+
+
+# typed: the key holds each entry's type next to its value.  Values of one
+# type compare exactly, so equal keys scale to the same ints (0.0 and -0.0
+# share an entry).  Across types ``==`` can round: numpy compares its float64
+# with an int in float64, and np.float64(2.0**114) equals 2**114 + 2**61 - 1,
+# with the same hash.
+@functools.lru_cache(maxsize=POINT_MEMO_SIZE, typed=True)
+def _point_form(*x) -> tuple:
+    """``_scaled(x)`` as ``(X, d_x)``, X a tuple, kept per point: the caller
+    types f(x) from its own x.  A non-finite entry raises in ``_scaled``
+    and is not kept."""
+    scaled, d = _scaled(x)
+    return tuple(scaled), d
+
+
+def _exact_ratio(gen: GeneratingVector, form):
+    """f(x) as ``(numerator, denominator)`` ints, denominator positive, from
+    x's integer form ``(X, d_x)``."""
     scaled_v, dv, r, _ = _int_form(gen)
-    scaled_x, dx = _scaled(x)
+    scaled_x, dx = form
     return _dot(scaled_v, cyclic_power(scaled_x, gen.m, r)), dv * dx**gen.m
 
 
@@ -258,9 +287,10 @@ def eval_exact(gen: GeneratingVector, x) -> Fraction:
     """f(x) exactly, for finite int, bool, Fraction or float entries: with
     ``V, d_v, r`` one period of v scaled to ints (``_int_form``) and
     ``X, d_x = _scaled(x)``,
-    ``sum_k V[k] * cyclic_power(X, m, r)[k] / (d_v * d_x**m)``."""
+    ``sum_k V[k] * cyclic_power(X, m, r)[k] / (d_v * d_x**m)``.  x is scaled
+    on each call, off the ``_point_form`` memo."""
     _check_dim(gen, x)
-    return Fraction(*_exact_ratio(gen, x))
+    return Fraction(*_exact_ratio(gen, _scaled(x)))
 
 
 def rounded(value) -> float:

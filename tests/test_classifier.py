@@ -329,6 +329,72 @@ class TestExactArbiter:
         assert set(seen) == {4}
 
 
+class TestWitnessPastFloat64:
+    """A canonical candidate is the witness by the sign of its exact value,
+    finite in float64 or not; past float64 it is reported clamped, with a note."""
+
+    @staticmethod
+    def _no_search(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the sphere search ran")
+
+        monkeypatch.setattr(oracle_mod, "sphere_min", refused)
+
+    def test_index_2_canonical_witness_past_float64(self, monkeypatch):
+        # f(1, -1, 0) = -2**(m - 2): past float64 from m = 1026 on
+        self._no_search(monkeypatch)
+        spec = CirculantSpec(1026, 3, 2, (0.5, 1))
+        assert eval_fast(expand(spec), (1, -1, 0)) == -math.inf
+        verdict = classify(spec)
+        assert verdict.status == Status.NOT_PSD
+        assert verdict.witness.label == "pattern(1, -1)"
+        assert verdict.witness_value == -sys.float_info.max
+        assert verdict.notes == (
+            "the witness value is exactly -1.0 * 2**1024, past float64; "
+            "it is reported as -1.7976931348623157e+308",
+        )
+        assert eval_exact(expand(spec), verdict.witness.x) == -(2**1024)
+
+    def test_earlier_overflowing_candidate_wins_over_a_later_finite_one(self, monkeypatch):
+        # pattern(1, -3, 2) overflows float64; pattern(1, 1), later in the
+        # canonical order, is finite and negative, and was the witness while
+        # only finite values were taken
+        self._no_search(monkeypatch)
+        spec = CirculantSpec(12, 3, 3, (1e303, -5e303, -3e303))
+        gen = expand(spec)
+        assert eval_fast(gen, (1, -3, 2)) == -math.inf
+        assert -math.inf < eval_fast(gen, (1, 1, 0)) < 0
+        verdict = classify(spec)
+        assert verdict.witness.label == "pattern(1, -3, 2)"
+        assert verdict.witness_value == -sys.float_info.max
+        exact = eval_exact(gen, verdict.witness.x)
+        assert exact < -sys.float_info.max
+        e = exact.numerator.bit_length() - exact.denominator.bit_length()
+        assert verdict.notes == (
+            f"the witness value is exactly {float(exact / 2**e)!r} * 2**{e}, past float64; "
+            "it is reported as -1.7976931348623157e+308",
+        )
+
+    def test_exact_value_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(gen, x):
+            calls.append(x)
+            return exact(gen, x)
+
+        exact = classifier_mod.eval_exact
+        monkeypatch.setattr(classifier_mod, "eval_exact", counting)
+        verdict = classify(CirculantSpec(1026, 3, 2, (0.5, 1)))
+        assert len(verdict.notes) == 1
+        assert calls == [(1, -1, 0)]
+        # exact input: eval_fast's value is the exact one, and is reused
+        calls.clear()
+        verdict = classify(CirculantSpec(1026, 3, 2, (1, 2)))
+        assert verdict.witness_value == -sys.float_info.max
+        assert len(verdict.notes) == 1
+        assert calls == []
+
+
 def _reference_candidates(case, gen, tol):
     """The candidate sequence as a generator that builds every record on each
     call: the reference for the cached families."""

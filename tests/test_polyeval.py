@@ -848,11 +848,13 @@ class TestExactEvaluation:
             if float not in set(map(type, gen.v + x)):
                 x = x[:-1] + (float(x[-1]),)
             scalings.clear()
+            polyeval._point_form.cache_clear()
             value = eval_fast(gen, x)
             exact = eval_exact(gen, x)
             assert eval_fast(gen, x) == value
-            # v once per instance, x on each of the three calls
-            assert len(scalings) == 4
+            # v once per instance; x once for both eval_fast calls, which
+            # share the point memo, and once for eval_exact, which is off it
+            assert len(scalings) == 3
             assert type(value) is float
             try:
                 assert value == float(exact)
@@ -869,3 +871,91 @@ class TestExactEvaluation:
         assert rounded(10**400) == big
         assert rounded(-Fraction(10**400, 3)) == -big
         assert rounded(-2.5) == -2.5
+
+
+def _point_entry():
+    """An int, bool, Fraction or float coordinate, signed zeros included."""
+    return st.one_of(
+        st.integers(-5, 5),
+        st.booleans(),
+        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+        st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+        st.sampled_from((0.0, -0.0)),
+    )
+
+
+def _same_value(t, choice: int):
+    """t as another type of equal value where one exists: 1 -> 1.0 or
+    Fraction(1), 0.5 -> Fraction(1, 2), 0 -> -0.0, ..."""
+    options = [Fraction(t), t]
+    if float(t) == t:
+        options.append(float(t))
+    if t == int(t):
+        options.append(int(t))
+    if t == 0:
+        options.append(-0.0)
+    return options[choice % len(options)]
+
+
+def _typed_value(value):
+    """A value with its type and, for floats, its repr (which tells -0.0 from 0.0)."""
+    return type(value), value, repr(value) if type(value) is float else None
+
+
+class TestPointMemo:
+    """``eval_fast`` reads x's integer form from a memo keyed by x's values
+    and their types."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_memoized_value_and_type_equal_a_fresh_evaluation(self, data):
+        m, n = data.draw(st.sampled_from((2, 4, 6))), data.draw(st.integers(2, 4))
+        v = data.draw(st.lists(_point_entry(), min_size=genvec_length(m, n),
+                               max_size=genvec_length(m, n)))
+        gen = GeneratingVector(m, n, v)
+        x = tuple(data.draw(st.lists(_point_entry(), min_size=n, max_size=n)))
+        choices = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        y = tuple(_same_value(t, c) for t, c in zip(x, choices))
+        assert y == x
+        fresh = {}
+        for point in (x, y):
+            polyeval._point_form.cache_clear()
+            fresh[point is y] = _typed_value(eval_fast(gen, point))
+        # equal-valued points, in either order, each keep the value and type
+        # their own entries give; points of the same types share one entry
+        shared = list(map(type, x)) == list(map(type, y))
+        for first, second in ((x, y), (y, x)):
+            polyeval._point_form.cache_clear()
+            for point in (first, second, first):
+                assert _typed_value(eval_fast(gen, point)) == fresh[point is y]
+            assert polyeval._point_form.cache_info().currsize == (1 if shared else 2)
+
+    def test_a_point_equal_only_in_float64_has_its_own_entry(self):
+        # numpy compares its float64 with an int in float64: these two are
+        # == and hash alike, yet differ by 2**61 - 1
+        np = pytest.importorskip("numpy")
+        gen = GeneratingVector(2, 2, (1, 0, 0))
+        big = 2**114 + 2**61 - 1
+        rounded_big = np.float64(2.0**114)
+        assert (rounded_big, 0) == (big, 0) and hash((rounded_big, 0)) == hash((big, 0))
+        for first, second in (((rounded_big, 0), (big, 0)), ((big, 0), (rounded_big, 0))):
+            polyeval._point_form.cache_clear()
+            for point in (first, second):
+                assert eval_fast(gen, point) == point[0] ** 2
+
+    def test_memo_never_exceeds_its_size(self):
+        gen = GeneratingVector(2, 2, (1, Fraction(1, 3), 2.0))
+        polyeval._point_form.cache_clear()
+        for k in range(polyeval.POINT_MEMO_SIZE + 200):
+            assert eval_fast(gen, (k, 0.5)) == float(eval_exact(gen, (k, 0.5)))
+            assert polyeval._point_form.cache_info().currsize <= polyeval.POINT_MEMO_SIZE
+        assert polyeval._point_form.cache_info().currsize == polyeval.POINT_MEMO_SIZE
+
+    def test_non_finite_point_raises_and_is_not_kept(self):
+        gen = GeneratingVector(2, 2, (1, 0, 1))
+        polyeval._point_form.cache_clear()
+        with pytest.raises(OverflowError):
+            eval_fast(gen, (math.inf, 1.0))
+        with pytest.raises(ValueError):
+            eval_fast(gen, (math.nan, 1.0))
+        assert polyeval._point_form.cache_info().currsize == 0
