@@ -405,7 +405,7 @@ def _hankel_eigenvector(gen: GeneratingVector) -> WitnessVector:
     """
     import numpy as np
 
-    vector = np.linalg.eigh(hankel_matrix(gen).a)[1][:, 0]
+    vector = np.linalg.eigh(hankel_matrix(gen))[1][:, 0]
     return WitnessVector(tuple(float(t) for t in vector), "hankel-eigenvector")
 
 

@@ -167,14 +167,32 @@ def load_spec_document(path: str):
         raise CliInputError(f"{path}: {exc}") from None
 
 
+def _unlimited(convert, value):
+    """``convert(value)`` with CPython's limit on int-to-str digits lifted.
+
+    Exact output is printed however large; input parsing keeps the limit,
+    which is restored on return.  An interpreter without the limit (before
+    3.10.7) has no setter for it.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return convert(value)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return convert(value)
+    finally:
+        set_limit(limit)
+
+
 def _fmt(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else str(value)
-    return str(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        value = value.numerator
+    return _unlimited(str, value)
 
 
 def _fmt_vec(values) -> str:
@@ -339,15 +357,16 @@ def cmd_sums(args) -> int:
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     if args.json:
-        print(json.dumps({
+        print(_unlimited(json.dumps, {
             "m": table.m, "r": table.r, "pattern": list(table.pattern),
             "sums": list(table.sums), "total": table.total(),
         }))
     else:
         print(f"m={table.m} r={table.r} pattern=({_fmt_vec(table.pattern)})")
         for j, s in enumerate(table.sums):
-            print(f"S_{j} = {s}")
-        print(f"total = {table.total()} (equals (sum pattern)^m = {sum(pattern) ** args.m})")
+            print(f"S_{j} = {_fmt(s)}")
+        print(f"total = {_fmt(table.total())} "
+              f"(equals (sum pattern)^m = {_fmt(sum(pattern) ** args.m)})")
     return 0
 
 
@@ -412,8 +431,8 @@ def cmd_theorem1(args) -> int:
     if args.json:
         print(json.dumps({
             "M": args.M,
-            "u": [str(t) for t in seq.u],
-            "sums": [str(t) for t in sums],
+            "u": [_fmt(t) for t in seq.u],
+            "sums": [_fmt(t) for t in sums],
             "verdict": verdict.value,
         }))
     else:
@@ -429,10 +448,10 @@ def cmd_hankelmatrix(args) -> int:
     subject, _ = load_spec_document(args.spec)
     gen = _gen_of(subject)
     try:
-        hm = tensor.hankel_matrix(gen)
+        a = tensor.hankel_matrix(gen)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
-    result = oracle.matrix_psd(hm.a)
+    result = oracle.matrix_psd(a)
     # the entries are finite, so an eigenvalue that is not comes from overflow
     try:
         tensor._require_finite(result.eigenvalues, "eigenvalue")
@@ -440,15 +459,15 @@ def cmd_hankelmatrix(args) -> int:
         raise CliInputError("an eigenvalue of the Hankel matrix overflows float64") from None
     if args.json:
         print(json.dumps({
-            "size": hm.size,
-            "matrix": [[float(t) for t in row] for row in hm.a],
+            "size": len(a),
+            "matrix": [[float(t) for t in row] for row in a],
             "eigenvalues": list(result.eigenvalues),
             "min_eigenvalue": result.min_eigenvalue,
             "psd": result.passed,
         }))
     else:
-        print(f"size: {hm.size} x {hm.size} (k={hm.k})")
-        for row in hm.a:
+        print(f"size: {len(a)} x {len(a)} (k={gen.m // 2})")
+        for row in a:
             print("  " + "  ".join(f"{t:.12g}" for t in row))
         print(f"eigenvalues: {_fmt_vec(result.eigenvalues)}")
         print(f"min_eigenvalue: {_fmt(result.min_eigenvalue)}")

@@ -66,14 +66,22 @@ class PeriodicSequence(_Record):
 
 
 def theorem1_sums(seq: PeriodicSequence, order: int) -> tuple:
-    """The alternating binomial sums D_0..D_{p-1} at the given order, exactly."""
+    """The alternating binomial sums D_0..D_{p-1} at the given order, exactly.
+
+    The signed binomial coefficients are added per residue class of j mod p,
+    as ints, before they multiply u: ``D_i = sum_c S_c * u[(i + c) mod p]``
+    with ``S_c = sum_{j = c mod p} (-1)**j * binom(order, j)``.  The row of
+    binomials is built term by term.
+    """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     p, u = seq.period, seq.u
-    signed = [math.comb(order, j) * (1 if j % 2 == 0 else -1) for j in range(order + 1)]
-    return tuple(
-        sum(c * u[(i + j) % p] for j, c in enumerate(signed)) for i in range(p)
-    )
+    classes = [0] * p
+    binom = 1
+    for j in range(order + 1):
+        classes[j % p] += -binom if j % 2 else binom
+        binom = binom * (order - j) // (j + 1)
+    return tuple(sum(s * u[(i + c) % p] for c, s in enumerate(classes)) for i in range(p))
 
 
 def theorem1_verdict(seq: PeriodicSequence, order: int) -> SequenceVerdict:
@@ -125,6 +133,10 @@ def residue_sum_table(m: int, r: int, pattern) -> ResidueSumTable:
     if r < 1:
         raise ValueError(f"residue count must be >= 1, got {r}")
 
+    # binom(m, used), the first factor of each multinomial, from one row
+    row = [1]
+    for j in range(m):
+        row.append(row[j] * (m - j) // (j + 1))
     sums = [0] * r
     tail = len(pattern) - 1
     for rest in itertools.product(range(m + 1), repeat=tail):
@@ -132,9 +144,9 @@ def residue_sum_table(m: int, r: int, pattern) -> ResidueSumTable:
         if used > m:
             continue
         counts = (m - used,) + rest
-        coeff = 1
-        remaining = m
-        for c in counts:
+        coeff = row[used]
+        remaining = used
+        for c in rest:
             coeff *= math.comb(remaining, c)
             remaining -= c
         term = coeff

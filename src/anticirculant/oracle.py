@@ -64,7 +64,7 @@ import math
 
 import numpy as np
 
-from .tensor import GeneratingVector, _Record, candidate_witnesses
+from .tensor import GeneratingVector, _Record, candidate_witnesses, window
 # eval_fast and value_and_gradient are not called here; bench/spans.py traces
 # them under these names.
 from .polyeval import _repeat, eval_exact, eval_fast, rounded, value_and_gradient  # noqa: F401
@@ -91,6 +91,8 @@ ETA_MAX = 1e12
 #: Step sizes per line-search block: twice the row's last step times 16, 8,
 #: ..., 1/8, the last three of them halvings.
 BLOCK = 8
+#: ``matrix_psd``'s pass tolerance, relative to the largest |entry|.
+MATRIX_PSD_TOL = 1e-9
 
 
 class SplitMix64:
@@ -139,9 +141,11 @@ def _spectrum(gen: GeneratingVector):
 
     With r the smallest period of the float64 values of v, compared by
     value, or L if none is shorter, ``c = fft(v[:r]) / r`` and
-    ``W = _roots(n, r)``.
+    ``W = _roots(n, r)``.  Both are read from ``window(gen)``: for an
+    expanded seed of q entries, q is a period of the float values too, so
+    the window's smallest period is v's, as in ``polyeval._int_form``.
     """
-    a = np.array(gen.v, dtype=float)
+    a = np.array(window(gen), dtype=float)
     r = _repeat(a.tolist())
     return np.fft.fft(a[:r]) / r, _roots(gen.n, r)
 
@@ -352,8 +356,8 @@ class MatrixPsdResult(_Record):
         self.__dict__.update(passed=passed, min_eigenvalue=min_eigenvalue, eigenvalues=eigenvalues)
 
 
-def matrix_psd(matrix, psd_tol: float = 1e-9) -> MatrixPsdResult:
-    """Pass iff the smallest eigenvalue is >= -psd_tol * max |entry|.
+def matrix_psd(matrix) -> MatrixPsdResult:
+    """Pass iff the smallest eigenvalue is >= -MATRIX_PSD_TOL * max |entry|.
 
     The eigenvalues are LAPACK's (``np.linalg.eigvalsh``), in ascending order;
     LAPACK scales the matrix internally, so entries near the ends of the
@@ -368,7 +372,7 @@ def matrix_psd(matrix, psd_tol: float = 1e-9) -> MatrixPsdResult:
     eigs = np.linalg.eigvalsh(m)
     min_eig = float(eigs[0])
     return MatrixPsdResult(
-        passed=min_eig >= -psd_tol * max_abs,
+        passed=min_eig >= -MATRIX_PSD_TOL * max_abs,
         min_eigenvalue=min_eig,
         eigenvalues=tuple(float(t) for t in eigs),
     )

@@ -223,27 +223,9 @@ def entry(gen: GeneratingVector, idx):
     return gen.v[total - gen.m]
 
 
-class HankelMatrix(_Record):
-    """Associated Hankel matrix of an even-order tensor: ``a[i, j] = v[i + j]`` (0-based)."""
-
-    gen: GeneratingVector
-    k: int
-    size: int
-    a: np.ndarray
-
-    def __init__(self, gen: GeneratingVector, k: int, size: int, a: np.ndarray):
-        self.__dict__.update(gen=gen, k=k, size=size, a=a)
-
-    def __eq__(self, other):
-        if not isinstance(other, HankelMatrix):
-            return NotImplemented
-        import numpy as np
-
-        return self.gen == other.gen and np.array_equal(self.a, other.a)
-
-
-def hankel_matrix(gen: GeneratingVector) -> HankelMatrix:
-    """Build the associated Hankel matrix; only defined for even order.
+def hankel_matrix(gen: GeneratingVector) -> np.ndarray:
+    """The associated Hankel matrix ``A[i, j] = v[i + j]`` (0-based) of an
+    even-order tensor, as a read-only float64 array.
 
     For order ``m = 2k`` the matrix has size ``n*k - k + 1`` and consumes the
     whole generating vector: the anti-diagonal ``i + j = s`` carries ``v[s]``.
@@ -253,11 +235,10 @@ def hankel_matrix(gen: GeneratingVector) -> HankelMatrix:
     import numpy as np
 
     k = gen.m // 2
-    size = gen.n * k - k + 1
-    idx = np.arange(size)
+    idx = np.arange(gen.n * k - k + 1)
     a = np.asarray(gen.v, dtype=float)[idx[:, None] + idx[None, :]]
     a.flags.writeable = False
-    return HankelMatrix(gen=gen, k=k, size=size, a=a)
+    return a
 
 
 class WitnessVector(_Record):
@@ -273,45 +254,9 @@ class WitnessVector(_Record):
             raise ValueError("witness vector must be nonzero")
 
 
-def _wrap(pos: int, n: int) -> int:
-    # 1-based cyclic position: 0 stands for n, n + 1 for 1, n + 2 for 2.
-    return (pos - 1) % n + 1
-
-
-def alpha_template(family: str, q: int, n: int) -> tuple[tuple, ...]:
-    """Coordinates of the alpha witness family as linear polynomials in alpha.
-
-    Returns one ``(constant, alpha_coefficient)`` pair per coordinate for
-    ``alpha * e_{q-1} + s * e_q - alpha * e_{q+1}`` with ``s = +1`` for family
-    ``"alpha"`` and ``s = -1`` for ``"alpha-neg"``.  Positions wrap cyclically
-    (``e_0`` means ``e_n``); ``n >= 3`` keeps the three positions distinct.
-    """
-    if family not in ("alpha", "alpha-neg"):
-        raise ValueError(f"unknown alpha family {family!r}")
-    if n < 3:
-        raise ValueError(f"alpha witness family needs n >= 3, got n={n}")
-    if not 1 <= q <= n:
-        raise ValueError(f"shift q={q} outside 1..{n}")
-    sign = 1 if family == "alpha" else -1
-    coords = [[0, 0] for _ in range(n)]
-    coords[_wrap(q - 1, n) - 1][1] += 1
-    coords[_wrap(q, n) - 1][0] += sign
-    coords[_wrap(q + 1, n) - 1][1] -= 1
-    return tuple((c0, c1) for c0, c1 in coords)
-
-
-def pattern_vector(pattern, n: int) -> tuple:
-    """Place ``pattern`` in the leading coordinates of an n-vector, zero padded."""
-    support = max((i + 1 for i, t in enumerate(pattern) if t != 0), default=0)
-    if support == 0:
-        raise ValueError("pattern has no nonzero entry")
-    if support > n:
-        raise ValueError(f"pattern {tuple(pattern)} needs n >= {support}, got n={n}")
-    return tuple(pattern[i] if i < len(pattern) else 0 for i in range(n))
-
-
 def differences(n: int, step: int) -> list[WitnessVector]:
-    """``e_q - e_{q+step}`` for ``q = 1..n`` (cyclic; needs n > step).
+    """``e_q - e_{q+step}`` for ``q = 1..n``, positions cyclic (``e_{n+1}`` is
+    ``e_1``); needs n > step.
 
     Labelled ``unit-difference(q=...)`` for step 1, else ``step-<step>-difference(q=...)``.
     """
@@ -319,34 +264,45 @@ def differences(n: int, step: int) -> list[WitnessVector]:
         raise ValueError(f"step-{step}-difference needs n >= {step + 1}, got n={n}")
     name = "unit-difference" if step == 1 else f"step-{step}-difference"
     out = []
-    for q in range(1, n + 1):
+    for q in range(n):
         x = [0] * n
-        x[q - 1] = 1
-        x[_wrap(q + step, n) - 1] -= 1
-        out.append(WitnessVector(tuple(x), f"{name}(q={q})"))
+        x[q], x[(q + step) % n] = 1, -1
+        out.append(WitnessVector(x, f"{name}(q={q + 1})"))
     return out
 
 
 def alpha_witnesses(n: int, family: str, alpha) -> list[WitnessVector]:
-    """``alpha*e_{q-1} +/- e_q - alpha*e_{q+1}`` for ``q = 1..n`` at a concrete alpha.
+    """``alpha*e_{q-1} + s*e_q - alpha*e_{q+1}`` for ``q = 1..n`` at a concrete alpha.
 
-    ``family`` is ``"alpha"`` (+) or ``"alpha-neg"`` (-); see :func:`alpha_template`.
+    ``s = +1`` for family ``"alpha"`` and ``-1`` for ``"alpha-neg"``.
+    Positions wrap cyclically (``e_0`` is ``e_n``); ``n >= 3`` keeps the
+    three positions distinct.  Every coordinate has alpha's type: the zeros
+    are ``0 * alpha`` and the centre is ``s + 0 * alpha``.
     """
+    if family not in ("alpha", "alpha-neg"):
+        raise ValueError(f"unknown alpha family {family!r}")
+    if n < 3:
+        raise ValueError(f"alpha witness family needs n >= 3, got n={n}")
+    sign = 1 if family == "alpha" else -1
     out = []
-    for q in range(1, n + 1):
-        x = tuple(c0 + c1 * alpha for c0, c1 in alpha_template(family, q, n))
-        out.append(WitnessVector(x, f"{family}(q={q}, alpha={alpha})"))
+    for q in range(n):
+        x = [0 * alpha] * n
+        x[q - 1], x[q], x[(q + 1) % n] = alpha, sign + 0 * alpha, -alpha
+        out.append(WitnessVector(x, f"{family}(q={q + 1}, alpha={alpha})"))
     return out
 
 
 def pattern_witnesses(n: int, patterns) -> list[WitnessVector]:
-    """Each pattern zero padded to dimension ``n``; patterns that do not fit are skipped."""
+    """Each pattern in the leading coordinates, zero padded to dimension ``n``.
+
+    A pattern with no nonzero entry, or with one past coordinate n, is skipped.
+    """
     out = []
     for pattern in patterns:
-        try:
-            out.append(WitnessVector(pattern_vector(pattern, n), f"pattern{pattern}"))
-        except ValueError:
-            continue
+        support = max((i + 1 for i, t in enumerate(pattern) if t != 0), default=0)
+        if 0 < support <= n:
+            x = tuple(pattern[:n]) + (0,) * (n - len(pattern))
+            out.append(WitnessVector(x, f"pattern{pattern}"))
     return out
 
 

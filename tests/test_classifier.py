@@ -1,5 +1,6 @@
 """Tests for the closed-form PSD classifier, certificates, and witnesses."""
 
+import hashlib
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from anticirculant.classifier import (
     Case,
     Certificate,
     CertificateKind,
+    REL_TOL_DEFAULT,
     Status,
     WITNESS_REL_MARGIN,
     classify,
@@ -32,6 +34,7 @@ from anticirculant.tensor import (
     CirculantSpec,
     GeneratingVector,
     alpha_witnesses,
+    candidate_witnesses,
     differences,
     expand,
     hankel_matrix,
@@ -439,6 +442,24 @@ def _clear_family_caches():
         cached.cache_clear()
 
 
+#: SHA-256 of the canonical witness sequence (each record's repr, for every
+#: case and None, n = 2..12), of the search's candidate rows and of
+#: ``candidate_witnesses(n)``: it pins the families' values, types and labels.
+WITNESS_DIGEST = "31025f4a737cb2cd9e166871e582299c928c825e4cac5674d2d69ea77679dba2"
+
+
+def _witness_digest():
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        gen = GeneratingVector(2, n, (1,) * (2 * n - 1))
+        for case in [*Case, None]:
+            for line in _drain(classifier_mod._witness_candidates(case, gen, 0)):
+                digest.update(line.encode() + b"\n")
+        digest.update(oracle_mod._candidates(n).tobytes())
+        digest.update(repr(candidate_witnesses(n)).encode())
+    return digest.hexdigest()
+
+
 #: NotPSD specs over every covered case, some of which climb the alpha ladder.
 NOT_PSD_BATTERY = (
     CirculantSpec(4, 4, 1, (-1,)),
@@ -468,6 +489,9 @@ class TestWitnessFamilies:
             assert _drain(classifier_mod._witness_candidates(case, gen, 0)) == reference
             # the second walk reads every record from the caches
             assert _drain(classifier_mod._witness_candidates(case, gen, 0)) == reference
+
+    def test_families_match_the_recorded_digest(self):
+        assert _witness_digest() == WITNESS_DIGEST
 
     def test_records_are_built_once(self):
         _clear_family_caches()
@@ -547,7 +571,7 @@ class TestStrongHankel:
         result = strong_hankel_check(gen, Certificate(CertificateKind.POWER_SUM, v0=1.0, t=1.1))
         assert not result.passed
         assert result.min_eigenvalue < -0.1
-        lapack = matrix_psd(hankel_matrix(gen).a).min_eigenvalue
+        lapack = matrix_psd(hankel_matrix(gen)).min_eigenvalue
         assert result.min_eigenvalue == pytest.approx(lapack, abs=1e-9)
 
     def test_psd_implies_strong_for_covered_cases(self):
@@ -604,7 +628,7 @@ class TestStrongHankel:
         ):
             gen = expand(spec)
             floor = _check(spec).min_eigenvalue
-            assert floor == pytest.approx(matrix_psd(hankel_matrix(gen).a).min_eigenvalue, abs=1e-12)
+            assert floor == pytest.approx(matrix_psd(hankel_matrix(gen)).min_eigenvalue, abs=1e-12)
 
     @pytest.mark.parametrize("alpha, beta", [
         (1.1, -0.1), (-0.1, 1.1), (-0.5, -0.25), (0.3, -1e-13), (-1e-13, 0.7), (0.0, -2.0),
@@ -615,7 +639,7 @@ class TestStrongHankel:
             gen = expand(CirculantSpec(m, n, 2, (alpha + beta, alpha - beta)))
             cert = Certificate(CertificateKind.POWER_SUM, v0=alpha + beta, t=alpha / (alpha + beta))
             result = strong_hankel_check(gen, cert)
-            lapack = matrix_psd(hankel_matrix(gen).a).min_eigenvalue
+            lapack = matrix_psd(hankel_matrix(gen)).min_eigenvalue
             assert result.min_eigenvalue <= lapack + 1e-12
             assert result.min_eigenvalue == pytest.approx(lapack, abs=1e-9)
 
@@ -634,7 +658,7 @@ class TestStrongHankel:
         check = strong_hankel_check(expand(spec), verdict.certificate, rel_tol)
         assert check.passed
         assert check.residual > 1.5 * rel_tol * 1.18
-        lapack = matrix_psd(hankel_matrix(expand(spec)).a).min_eigenvalue
+        lapack = matrix_psd(hankel_matrix(expand(spec))).min_eigenvalue
         assert verdict.strong_hankel.matrix_eigen_floor <= lapack
 
     @pytest.mark.parametrize("subject", [
@@ -867,34 +891,48 @@ class TestSerialization:
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_verdicts_match_seed_criteria(data):
-    """Random seeds against the closed-form condition evaluated independently."""
+    """Random seeds against the closed-form condition evaluated independently.
+
+    Float seeds are compared with the documented default slack,
+    ``REL_TOL_DEFAULT * max|seed|``: a seed within it of the PSD boundary,
+    such as ``(1, 2**-126, 1, 0)`` at (6, 5, 4), is PSD by the contract.
+    """
     family = data.draw(
         st.sampled_from(["index-1", "coprime", "r2", "even", "quartic"]),
         label="family",
     )
     vals = st.floats(-2, 2, allow_nan=False, width=32)
+
+    def slack(seed):
+        return REL_TOL_DEFAULT * max(abs(t) for t in seed)
+
     if family == "index-1":
         spec = CirculantSpec(4, 4, 1, (data.draw(vals),))
-        expected = spec.seed[0] >= 0
+        expected = spec.seed[0] >= -slack(spec.seed)
     elif family == "coprime":
         seed = tuple(data.draw(vals) for _ in range(3))
         spec = CirculantSpec(4, 3, 3, seed)
-        expected = seed[0] == seed[1] == seed[2] and seed[0] >= 0
+        tol = slack(seed)
+        expected = max(seed) - min(seed) <= tol and seed[0] >= -tol
     elif family == "r2":
         seed = (data.draw(vals), data.draw(vals))
         spec = CirculantSpec(4, 4, 2, seed)
-        expected = abs(seed[1]) <= seed[0]
+        expected = seed[0] - abs(seed[1]) >= -slack(seed)
     elif family == "even":
         seed = tuple(data.draw(vals) for _ in range(4))
         spec = CirculantSpec(6, 5, 4, seed)
+        tol = slack(seed)
         expected = (
-            seed[0] == seed[2] and seed[1] == seed[3] and abs(seed[1]) <= seed[0]
+            abs(seed[0] - seed[2]) <= tol and abs(seed[1] - seed[3]) <= tol
+            and seed[0] - abs(seed[1]) >= -tol
         )
     else:
         seed = tuple(data.draw(vals) for _ in range(4))
         spec = CirculantSpec(4, 4, 4, seed)
+        tol = slack(seed)
         expected = (
-            seed[0] == seed[2] and seed[1] == seed[3] and abs(seed[1]) <= seed[0]
+            abs(seed[0] - seed[2]) <= tol and abs(seed[1] - seed[3]) <= tol
+            and seed[0] - abs(seed[1]) >= -tol
         )
     verdict = classify(spec)
     assert verdict.status == (Status.PSD if expected else Status.NOT_PSD)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import anticirculant
+from anticirculant import cli
 from anticirculant.cli import main, parse_int_list, parse_number_list
 from anticirculant import polyeval
 from anticirculant.polyeval import eval_exact
@@ -686,6 +687,41 @@ class TestTheorem1Command:
 
     def test_zero_order_rejected(self, capsys):
         assert main(["theorem1", "0", "1,2"]) == 2
+
+
+class TestExactOutputPastTheDigitLimit:
+    """Exact values print in full past CPython's limit on int-to-str digits
+    (4300 by default); input parsing keeps the limit."""
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_sums(self, capsys, flags):
+        assert main(["sums", "15000", "3", "1,1"] + flags) == 0
+        out = capsys.readouterr().out
+        if flags:
+            total = cli._unlimited(json.loads, out)["total"]
+        else:
+            total = cli._unlimited(int, re.search(r"^total = (\d+) ", out, re.M).group(1))
+        assert total == 2**15000
+
+    def test_eval(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, "big.json", {"m": 20000, "n": 2, "r": 1, "seed": [1]})
+        assert main(["eval", doc, "1,1"]) == 0
+        out = capsys.readouterr().out
+        assert cli._unlimited(int, out.removeprefix("f(x) = ")) == 2**20000
+
+    def test_theorem1_at_large_order(self, capsys):
+        assert main(["theorem1", "20000", "1,2", "--json"]) == 0
+        sums = json.loads(capsys.readouterr().out)["sums"]
+        assert [cli._unlimited(int, t) for t in sums] == [-(2**19999), 2**19999]
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="no digit limit in this interpreter")
+    def test_input_parsing_keeps_the_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["sums", "15000", "3", "1,1", "--json"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        assert main(["theorem1", "2", "1," + "1" * (limit + 1)]) == 2
+        assert "Exceeds the limit" in capsys.readouterr().err
 
 
 class TestHankelMatrixCommand:

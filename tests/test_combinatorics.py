@@ -17,7 +17,7 @@ from anticirculant.combinatorics import (
     theorem1_verdict,
 )
 from anticirculant.polyeval import residue_components
-from anticirculant.tensor import CirculantSpec, pattern_vector
+from anticirculant.tensor import CirculantSpec, pattern_witnesses
 
 
 class TestAlternatingSums:
@@ -146,7 +146,7 @@ class TestResidueSumTable:
         table = residue_sum_table(m, 3, pattern)
         n = max(3, len(pattern))
         spec = CirculantSpec(m, n, 3, (1, 1, 1))
-        floats = residue_components(spec, pattern_vector(pattern, n))
+        floats = residue_components(spec, pattern_witnesses(n, (pattern,))[0].x)
         for exact, approx in zip(table.sums, floats):
             assert abs(exact - approx) <= 1e-9 * max(1.0, abs(exact), abs(approx))
 

@@ -521,7 +521,7 @@ class TestMatrixPsd:
         # a tiny off-diagonal entry against a wide diagonal gap
         spec = CirculantSpec(20, 6, 2, (0.9702998637461073, 0.0002736266631457719))
         gen = expand(spec)
-        a = hankel_matrix(gen).a
+        a = hankel_matrix(gen)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = matrix_psd(a)

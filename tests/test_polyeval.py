@@ -22,7 +22,7 @@ from anticirculant.polyeval import (
 from anticirculant.tensor import (
     CirculantSpec,
     GeneratingVector,
-    alpha_template,
+    alpha_witnesses,
     expand,
     genvec_length,
     max_circulant_index,
@@ -336,9 +336,8 @@ class TestResidueComponents:
 def _alpha_values(spec, family, q):
     """f along the alpha witness family at alpha = 0..m+1, exactly (int seeds)."""
     gen = expand(spec)
-    template = alpha_template(family, q, spec.n)
     return [
-        eval_fast(gen, tuple(c0 + c1 * alpha for c0, c1 in template))
+        eval_fast(gen, alpha_witnesses(spec.n, family, alpha)[q - 1].x)
         for alpha in range(spec.m + 2)
     ]
 

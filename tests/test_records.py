@@ -17,13 +17,12 @@ def _psd_verdict():
 SAMPLES = {
     "GeneratingVector": lambda: GeneratingVector(2, 2, (1, 0, 1)),
     "CirculantSpec": lambda: CirculantSpec(4, 4, 2, (1, 0.5)),
-    "HankelMatrix": lambda: tensor.hankel_matrix(GEN),
     "WitnessVector": lambda: WitnessVector((1, 0), "a"),
     "Certificate": lambda: CERT,
     "StrongHankelResult": lambda: classifier.strong_hankel_check(GEN, CERT),
     "Verdict": _psd_verdict,
     "SphereMinResult": lambda: oracle.sphere_min(GEN, starts=2),
-    "MatrixPsdResult": lambda: oracle.matrix_psd(tensor.hankel_matrix(GEN).a),
+    "MatrixPsdResult": lambda: oracle.matrix_psd(tensor.hankel_matrix(GEN)),
     "PeriodicSequence": lambda: combinatorics.PeriodicSequence((1, 2)),
     "ResidueSumTable": lambda: combinatorics.residue_sum_table(4, 2, (1, 1)),
     "SignFactRow": lambda: combinatorics.SignFactRow(6, 3, (1, -1), (-18, 9, 9), "S0 < 0", True),
@@ -103,13 +102,6 @@ def test_int_form_caches_on_the_instance():
     assert polyeval._int_form(gen) is form
     # the cache is no field: equality, hash and repr ignore it
     assert gen == GEN and hash(gen) == hash(GEN) and repr(gen) == repr(GEN)
-
-
-def test_hankel_matrix_compares_but_is_unhashable():
-    a, b = tensor.hankel_matrix(GEN), tensor.hankel_matrix(GEN)
-    assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
 
 
 def test_matrix_psd_result_fields():

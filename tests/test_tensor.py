@@ -10,7 +10,6 @@ from anticirculant.tensor import (
     CirculantSpec,
     GeneratingVector,
     WitnessVector,
-    alpha_template,
     alpha_witnesses,
     candidate_witnesses,
     differences,
@@ -18,7 +17,6 @@ from anticirculant.tensor import (
     expand,
     genvec_length,
     hankel_matrix,
-    pattern_vector,
     pattern_witnesses,
 )
 
@@ -164,20 +162,17 @@ class TestHankelEntries:
 
 class TestHankelMatrix:
     def test_two_by_two(self):
-        hm = hankel_matrix(GeneratingVector(2, 2, (1, 1, 1)))
-        assert hm.size == 2
-        assert np.array_equal(hm.a, np.ones((2, 2)))
+        a = hankel_matrix(GeneratingVector(2, 2, (1, 1, 1)))
+        assert np.array_equal(a, np.ones((2, 2)))
 
     def test_all_ones_five_by_five(self):
-        hm = hankel_matrix(expand(CirculantSpec(4, 3, 1, (1,))))
-        assert hm.size == 5
-        assert np.array_equal(hm.a, np.ones((5, 5)))
+        a = hankel_matrix(expand(CirculantSpec(4, 3, 1, (1,))))
+        assert np.array_equal(a, np.ones((5, 5)))
 
     def test_alternating_signs(self):
-        hm = hankel_matrix(expand(CirculantSpec(4, 4, 2, (1, -1))))
-        assert hm.size == 7
+        a = hankel_matrix(expand(CirculantSpec(4, 4, 2, (1, -1))))
         expected = np.fromfunction(lambda i, j: (-1.0) ** (i + j), (7, 7))
-        assert np.array_equal(hm.a, expected)
+        assert np.array_equal(a, expected)
 
     def test_rejects_odd_order(self):
         gen = GeneratingVector(3, 3, tuple(range(7)))
@@ -196,17 +191,23 @@ class TestHankelMatrix:
             ),
             label="v",
         )
-        hm = hankel_matrix(GeneratingVector(m, n, tuple(v)))
-        assert np.array_equal(hm.a, hm.a.T)
-        for i in range(hm.size):
-            for j in range(hm.size):
-                assert hm.a[i, j] == v[i + j]
+        a = hankel_matrix(GeneratingVector(m, n, tuple(v)))
+        assert a.shape == (n * m // 2 - m // 2 + 1,) * 2 and a.dtype == float
+        assert np.array_equal(a, a.T)
+        for i in range(len(a)):
+            for j in range(len(a)):
+                assert a[i, j] == v[i + j]
 
     def test_uses_whole_generating_vector(self):
         # the bottom-right entry reads the last generating value
         gen = GeneratingVector(4, 3, (0,) * 8 + (7,))
-        hm = hankel_matrix(gen)
-        assert hm.a[-1, -1] == 7
+        assert hankel_matrix(gen)[-1, -1] == 7
+
+    def test_is_read_only(self):
+        a = hankel_matrix(GeneratingVector(4, 2, (1, 0.5, 1, 0.5, 1)))
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
 
 
 class TestWitnesses:
@@ -232,13 +233,13 @@ class TestWitnesses:
         assert got[0].label == "pattern(1, -1, -1, 1)"
 
     def test_pattern_needs_room(self):
-        with pytest.raises(ValueError):
-            pattern_vector((1, -1, -1, 1), 3)
-        with pytest.raises(ValueError):
-            pattern_vector((0, 0), 4)
+        # trailing zeros past n are dropped; a pattern with no nonzero entry is skipped
+        assert pattern_witnesses(3, ((1, -1, -1, 1), (0, 0), (1, 0, -1, 0))) == [
+            WitnessVector((1, 0, -1), "pattern(1, 0, -1, 0)")
+        ]
 
     def test_pattern_zero_padding(self):
-        assert pattern_vector((1, -1), 5) == (1, -1, 0, 0, 0)
+        assert pattern_witnesses(5, ((1, -1),))[0].x == (1, -1, 0, 0, 0)
 
     def test_alpha_family_values(self):
         got = {w.label: w.x for w in alpha_witnesses(3, "alpha", 2.0)}
@@ -252,16 +253,17 @@ class TestWitnesses:
         assert plus == (4.0, 1, -4.0)
         assert minus == (4.0, -1, -4.0)
 
-    def test_alpha_template_matches_concrete(self):
-        for family in ("alpha", "alpha-neg"):
-            for q in range(1, 5):
-                coords = alpha_template(family, q, 4)
-                concrete = alpha_witnesses(4, family, 3.0)[q - 1].x
-                assert tuple(c0 + c1 * 3.0 for c0, c1 in coords) == concrete
+    @pytest.mark.parametrize("alpha", [3, 3.0, Fraction(3, 2)])
+    def test_alpha_coordinates_keep_alphas_type(self, alpha):
+        # q=1 wraps e_0 to e_4: x = e_1 - alpha*e_2 + alpha*e_4
+        for family, sign in (("alpha", 1), ("alpha-neg", -1)):
+            x = alpha_witnesses(4, family, alpha)[0].x
+            assert x == (sign, -alpha, 0, alpha)
+            assert [type(t) for t in x] == [type(alpha)] * 4
 
     def test_alpha_needs_value_and_room(self):
         with pytest.raises(ValueError, match="n >= 3"):
-            alpha_template("alpha", 1, 2)
+            alpha_witnesses(2, "alpha", 2.0)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticirculant import classifier as classifier_mod
-from anticirculant import polyeval
+from anticirculant import oracle, polyeval
 from anticirculant.classifier import (
     Certificate,
     CertificateKind,
@@ -68,6 +68,8 @@ def test_window_passes_match_the_full_vector(data):
 
     assert _identical(gen.max_abs(), full.max_abs())
     assert polyeval._int_form(gen) == polyeval._int_form(full)
+    ours, theirs = oracle._spectrum(gen), oracle._spectrum(full)
+    assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
 
     rel_tol = data.draw(st.sampled_from([0.0, 1e-12, 0.1]), label="rel_tol")
     certs = [Certificate(CertificateKind.POWER_SUM, v0=data.draw(st.floats(-2, 2)),
