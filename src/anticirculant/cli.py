@@ -353,19 +353,19 @@ def cmd_sums(args) -> int:
         raise CliInputError(f"r must be >= 2, got {args.r}")
     pattern = parse_int_list(args.pattern, "pattern")
     try:
-        table = combinatorics.residue_sum_table(args.m, args.r, pattern)
+        sums = combinatorics.residue_sum_table(args.m, args.r, pattern)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     if args.json:
         print(_unlimited(json.dumps, {
-            "m": table.m, "r": table.r, "pattern": list(table.pattern),
-            "sums": list(table.sums), "total": table.total(),
+            "m": args.m, "r": args.r, "pattern": pattern,
+            "sums": list(sums), "total": sum(sums),
         }))
     else:
-        print(f"m={table.m} r={table.r} pattern=({_fmt_vec(table.pattern)})")
-        for j, s in enumerate(table.sums):
+        print(f"m={args.m} r={args.r} pattern=({_fmt_vec(pattern)})")
+        for j, s in enumerate(sums):
             print(f"S_{j} = {_fmt(s)}")
-        print(f"total = {_fmt(table.total())} "
+        print(f"total = {_fmt(sum(sums))} "
               f"(equals (sum pattern)^m = {_fmt(sum(pattern) ** args.m)})")
     return 0
 
@@ -388,7 +388,7 @@ def cmd_signfacts(args) -> int:
                 f"m={row.m} r={row.r} pattern=({_fmt_vec(row.pattern)}) "
                 f"sums=({_fmt_vec(row.sums)}) requires [{row.requirement}]: {state}"
             )
-    if not combinatorics.all_sign_facts_pass(rows):
+    if not all(row.passed for row in rows):
         print("error: sign-fact table has failures", file=sys.stderr)
         return 3
     return 0
@@ -422,7 +422,7 @@ def cmd_theorem1(args) -> int:
     try:
         seq = combinatorics.PeriodicSequence(tuple(Fraction(t) for t in u))
         sums = combinatorics.theorem1_sums(seq, args.M)
-        verdict = combinatorics.theorem1_verdict(seq, args.M)
+        verdict = combinatorics.theorem1_verdict(seq, sums)
     except combinatorics.RigidityViolation as exc:
         print(f"FATAL: {exc}", file=sys.stderr)
         return 3
@@ -517,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sums", help="exact residue-class multinomial sums")
     p.add_argument("m", type=int)
     p.add_argument("r", type=int)
-    p.add_argument("pattern", help="comma-separated integer pattern, length <= 4")
+    p.add_argument("pattern", help="comma-separated integer pattern")
     add_json(p)
     p.set_defaults(func=cmd_sums)
 

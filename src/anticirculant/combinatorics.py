@@ -1,7 +1,7 @@
 """Exact combinatorics behind the circulant classification rules.
 
-Two independent tools live here, both in exact integer or rational
-arithmetic:
+Two tools live here, both in exact integer or rational arithmetic, and both
+on the evaluation kernel ``polyeval.cyclic_power``:
 
 * Alternating binomial sums over a periodic sequence.  For a sequence ``u``
   of period ``p`` and an order ``M``, the sums
@@ -13,27 +13,28 @@ arithmetic:
   aborts loudly if the rigidity is ever violated, since everything downstream
   leans on it.
 
-* Residue-class multinomial sums.  For a small integer pattern
+* Residue-class multinomial sums.  For an integer pattern
   ``(t_1, ..., t_L)`` placed at coordinates ``1..L``, the value of the
   order-m polynomial splits as ``f = sum_j v_j_class * S_j`` where
 
       S_j = sum of m!/(k_1! ... k_L!) * t_1**k_1 * ... * t_L**k_L
 
   over compositions with ``k_1 + ... + k_L = m`` and weighted position sum
-  ``1*k_1 + 2*k_2 + ... + L*k_L`` congruent to ``j`` mod ``r``.  The handful
-  of sign facts about these sums that the order-(6, 12, 18, 30, 42)
-  circulant-index-3 classification rule needs are recomputed exactly by
-  ``sign_fact_report`` instead of being trusted as constants.
+  ``1*k_1 + 2*k_2 + ... + L*k_L`` congruent to ``j`` mod ``r``: the
+  coefficients of ``(t_1 + t_2 z + ... + t_L z**(L-1))**m`` modulo
+  ``z**r - 1``, rotated by m.  The handful of sign facts about these sums
+  that the order-(6, 12, 18, 30, 42) circulant-index-3 classification rule
+  needs are recomputed exactly by ``sign_fact_report`` instead of being
+  trusted as constants.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-import math
 from fractions import Fraction
 
 from .classifier import SPECIAL_R3_ORDERS
+from .polyeval import cyclic_power
 from .tensor import _Record
 
 
@@ -70,27 +71,23 @@ def theorem1_sums(seq: PeriodicSequence, order: int) -> tuple:
 
     The signed binomial coefficients are added per residue class of j mod p,
     as ints, before they multiply u: ``D_i = sum_c S_c * u[(i + c) mod p]``
-    with ``S_c = sum_{j = c mod p} (-1)**j * binom(order, j)``.  The row of
-    binomials is built term by term.
+    with ``S_c = sum_{j = c mod p} (-1)**j * binom(order, j)``, the
+    coefficients of ``(1 - z)**order`` modulo ``z**p - 1``.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     p, u = seq.period, seq.u
-    classes = [0] * p
-    binom = 1
-    for j in range(order + 1):
-        classes[j % p] += -binom if j % 2 else binom
-        binom = binom * (order - j) // (j + 1)
+    classes = cyclic_power((1, -1), order, p)
     return tuple(sum(s * u[(i + c) % p] for c, s in enumerate(classes)) for i in range(p))
 
 
-def theorem1_verdict(seq: PeriodicSequence, order: int) -> SequenceVerdict:
-    """Classify the sums as one-signed (forcing constancy) or mixed-signed.
+def theorem1_verdict(seq: PeriodicSequence, sums: tuple) -> SequenceVerdict:
+    """Classify ``theorem1_sums(seq, order)`` as one-signed or mixed-signed.
 
-    A one-signed result on a non-constant sequence contradicts the rigidity
-    property and raises :class:`RigidityViolation` instead of returning.
+    One-signed sums force constancy: on a non-constant sequence they
+    contradict the rigidity property and raise :class:`RigidityViolation`
+    instead of returning.
     """
-    sums = theorem1_sums(seq, order)
     if all(d >= 0 for d in sums) or all(d <= 0 for d in sums):
         if not seq.is_constant():
             raise RigidityViolation(
@@ -101,63 +98,26 @@ def theorem1_verdict(seq: PeriodicSequence, order: int) -> SequenceVerdict:
     return SequenceVerdict.MIXED_SIGNS
 
 
-class ResidueSumTable(_Record):
-    """Exact residue-class sums S_0..S_{r-1} of a pattern at order m."""
+def residue_sum_table(m: int, r: int, pattern) -> tuple:
+    """Exact multinomial residue sums S_0..S_{r-1} of an integer pattern at order m.
 
-    m: int
-    r: int
-    pattern: tuple
-    sums: tuple
-
-    def __init__(self, m: int, r: int, pattern: tuple, sums: tuple):
-        self.__dict__.update(m=m, r=r, pattern=pattern, sums=sums)
-
-    def total(self) -> int:
-        return sum(self.sums)
-
-
-def residue_sum_table(m: int, r: int, pattern) -> ResidueSumTable:
-    """Exact multinomial residue sums for an integer pattern of length <= 4.
-
-    Enumerates the counts of every coordinate but the first directly (at most
-    a triple loop of size m**3) and groups by the weighted position sum mod r.
-    The sums always satisfy ``sum_j S_j == (sum(pattern)) ** m``.
+    The pattern sits at coordinates 1..L, so a monomial's weighted position
+    sum is its 1-based index sum, profile position + m: S_j is entry
+    ``(j - m) mod r`` of ``cyclic_power(pattern, m, r)``, as in
+    ``polyeval.residue_components``.  The sums always satisfy
+    ``sum_j S_j == (sum(pattern)) ** m``.
     """
     pattern = tuple(pattern)
-    if not 1 <= len(pattern) <= 4:
-        raise ValueError(f"pattern length must be 1..4, got {len(pattern)}")
+    if not pattern:
+        raise ValueError("pattern must have at least one entry")
     if not all(isinstance(t, int) for t in pattern):
         raise ValueError(f"pattern entries must be integers, got {pattern}")
     if m < 1:
         raise ValueError(f"order must be >= 1, got {m}")
     if r < 1:
         raise ValueError(f"residue count must be >= 1, got {r}")
-
-    # binom(m, used), the first factor of each multinomial, from one row
-    row = [1]
-    for j in range(m):
-        row.append(row[j] * (m - j) // (j + 1))
-    sums = [0] * r
-    tail = len(pattern) - 1
-    for rest in itertools.product(range(m + 1), repeat=tail):
-        used = sum(rest)
-        if used > m:
-            continue
-        counts = (m - used,) + rest
-        coeff = row[used]
-        remaining = used
-        for c in rest:
-            coeff *= math.comb(remaining, c)
-            remaining -= c
-        term = coeff
-        for t, c in zip(pattern, counts):
-            if c:
-                term *= t ** c
-        if term == 0:
-            continue
-        weight = sum(c * (pos + 1) for pos, c in enumerate(counts))
-        sums[weight % r] += term
-    return ResidueSumTable(m=m, r=r, pattern=pattern, sums=tuple(sums))
+    folded = cyclic_power(pattern, m, r)
+    return tuple(folded[(j - m) % r] for j in range(r))
 
 
 class SignFactRow(_Record):
@@ -197,23 +157,17 @@ def sign_fact_report() -> tuple[SignFactRow, ...]:
     """
     rows = []
     for m, pattern, requirement, check in _facts():
-        table = residue_sum_table(m, 3, pattern)
+        sums = residue_sum_table(m, 3, pattern)
         rows.append(
-            SignFactRow(m=m, r=3, pattern=pattern, sums=table.sums,
-                        requirement=requirement, passed=bool(check(table.sums)))
+            SignFactRow(m=m, r=3, pattern=pattern, sums=sums,
+                        requirement=requirement, passed=bool(check(sums)))
         )
     a = residue_sum_table(12, 3, (1, -3, 2))
     b = residue_sum_table(12, 3, (1, 2, -3))
-    rows.append(SignFactRow(12, 3, (1, 2, -3), b.sums, "S0 equal for swapped pair",
-                            a.sums[0] == b.sums[0]))
-    rows.append(SignFactRow(12, 3, (1, 2, -3), b.sums, "S1/S2 swap across pair",
-                            b.sums[1] - b.sums[2] == a.sums[2] - a.sums[1]))
-    rows.append(SignFactRow(12, 3, (1, 2, -3), b.sums, "swap gap nonzero",
-                            b.sums[1] - b.sums[2] != 0))
+    rows.append(SignFactRow(12, 3, (1, 2, -3), b, "S0 equal for swapped pair",
+                            a[0] == b[0]))
+    rows.append(SignFactRow(12, 3, (1, 2, -3), b, "S1/S2 swap across pair",
+                            b[1] - b[2] == a[2] - a[1]))
+    rows.append(SignFactRow(12, 3, (1, 2, -3), b, "swap gap nonzero",
+                            b[1] - b[2] != 0))
     return tuple(rows)
-
-
-def all_sign_facts_pass(rows=None) -> bool:
-    if rows is None:
-        rows = sign_fact_report()
-    return all(row.passed for row in rows)

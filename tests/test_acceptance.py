@@ -173,25 +173,25 @@ def test_criterion_1_sign_fact_table(capsys):
         facts = 0
 
         for m in (6, 18, 30, 42):
-            assert residue_sum_table(m, 3, (1, -1)).sums[0] < 0
-            assert residue_sum_table(m, 3, (1, 1, -2)).sums[0] > 0
+            assert residue_sum_table(m, 3, (1, -1))[0] < 0
+            assert residue_sum_table(m, 3, (1, 1, -2))[0] > 0
             facts += 2
-        assert residue_sum_table(12, 3, (1, -1)).sums[0] > 0
+        assert residue_sum_table(12, 3, (1, -1))[0] > 0
         facts += 1
 
         falling = residue_sum_table(12, 3, (1, -3, 2))
         rising = residue_sum_table(12, 3, (1, 2, -3))
-        assert falling.sums[0] < 0
-        assert rising.sums[0] == falling.sums[0]
+        assert falling[0] < 0
+        assert rising[0] == falling[0]
         facts += 2
 
         for m in (6, 12, 18, 30, 42):
-            table = residue_sum_table(m, 3, (1, -1))
-            assert table.sums[1] == table.sums[2]
+            sums = residue_sum_table(m, 3, (1, -1))
+            assert sums[1] == sums[2]
             facts += 1
 
-        rising_gap = rising.sums[1] - rising.sums[2]
-        falling_gap = falling.sums[1] - falling.sums[2]
+        rising_gap = rising[1] - rising[2]
+        falling_gap = falling[1] - falling[2]
         assert rising_gap == -falling_gap
         assert rising_gap != 0
         facts += 1
@@ -223,7 +223,7 @@ def test_criterion_2_rigidity_property_suite(capsys):
                     entries = tuple(rational() for _ in range(period))
             seq = PeriodicSequence(entries)
             sums = theorem1_sums(seq, order)
-            verdict = theorem1_verdict(seq, order)
+            verdict = theorem1_verdict(seq, sums)
             if seq.is_constant():
                 assert all(d == 0 for d in sums)
                 assert verdict is SequenceVerdict.FORCED_CONSTANT

@@ -627,6 +627,14 @@ class TestSumsAndSignFacts:
     def test_float_pattern_rejected(self, capsys):
         assert main(["sums", "6", "3", "1,0.5"]) == 2
 
+    def test_long_patterns_answered(self, capsys):
+        assert main(["sums", "60", "5", "1,-1,2,0,1,-3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pattern"] == [1, -1, 2, 0, 1, -3]
+        assert len(payload["sums"]) == 5 and payload["total"] == 0
+        assert main(["sums", "200", "3", "1,1,-2,1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total"] == 1
+
     def test_signfacts_all_pass(self, capsys):
         assert main(["signfacts"]) == 0
         out = capsys.readouterr().out
@@ -687,6 +695,19 @@ class TestTheorem1Command:
 
     def test_zero_order_rejected(self, capsys):
         assert main(["theorem1", "0", "1,2"]) == 2
+
+    def test_sums_are_computed_once(self, monkeypatch, capsys):
+        from anticirculant import combinatorics
+
+        calls = []
+
+        def counting(x, m, r):
+            calls.append((tuple(x), m, r))
+            return polyeval.cyclic_power(x, m, r)
+
+        monkeypatch.setattr(combinatorics, "cyclic_power", counting)
+        assert main(["theorem1", "5", "1,2,3"]) == 0
+        assert calls == [((1, -1), 5, 3)]
 
 
 class TestExactOutputPastTheDigitLimit:

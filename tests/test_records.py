@@ -24,7 +24,6 @@ SAMPLES = {
     "SphereMinResult": lambda: oracle.sphere_min(GEN, starts=2),
     "MatrixPsdResult": lambda: oracle.matrix_psd(tensor.hankel_matrix(GEN)),
     "PeriodicSequence": lambda: combinatorics.PeriodicSequence((1, 2)),
-    "ResidueSumTable": lambda: combinatorics.residue_sum_table(4, 2, (1, 1)),
     "SignFactRow": lambda: combinatorics.SignFactRow(6, 3, (1, -1), (-18, 9, 9), "S0 < 0", True),
 }
 
