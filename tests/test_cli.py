@@ -700,14 +700,15 @@ class TestTheorem1Command:
         from anticirculant import combinatorics
 
         calls = []
+        theorem1_sums = combinatorics.theorem1_sums
 
-        def counting(x, m, r):
-            calls.append((tuple(x), m, r))
-            return polyeval.cyclic_power(x, m, r)
+        def counting(seq, order):
+            calls.append((seq.u, order))
+            return theorem1_sums(seq, order)
 
-        monkeypatch.setattr(combinatorics, "cyclic_power", counting)
+        monkeypatch.setattr(combinatorics, "theorem1_sums", counting)
         assert main(["theorem1", "5", "1,2,3"]) == 0
-        assert calls == [((1, -1), 5, 3)]
+        assert calls == [((1, 2, 3), 5)]
 
 
 class TestExactOutputPastTheDigitLimit:

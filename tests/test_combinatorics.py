@@ -187,6 +187,14 @@ class TestResidueSumTable:
         assert sums == enumerated_residue_sums(m, r, pattern)
         assert [type(s) for s in sums] == [int] * r
 
+    @pytest.mark.parametrize("m, r", [(3000, 1000), (2000, 500), (3000, 3), (7, 400)])
+    def test_two_entry_pattern_at_wide_and_narrow_r(self, m, r):
+        # (1, 1): S_j adds binom(m, k) over the k with m + k = j mod r
+        expected = [0] * r
+        for k in range(m + 1):
+            expected[(m + k) % r] += math.comb(m, k)
+        assert residue_sum_table(m, r, (1, 1)) == tuple(expected)
+
     @given(m=st.integers(1, 15))
     def test_alternating_tail_symmetry(self, m):
         # binomial reflection C(m, p) = C(m, m-p) makes S_1 = S_2 for (1, -1)
@@ -210,7 +218,7 @@ class TestResidueSumTable:
     @pytest.mark.parametrize("pattern", [(1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)])
     @pytest.mark.parametrize("m", SPECIAL_R3_ORDERS)
     def test_agrees_with_float_residue_split(self, pattern, m):
-        exact_sums = enumerated_residue_sums(m, 3, pattern)
+        exact_sums = residue_sum_table(m, 3, pattern)
         n = max(3, len(pattern))
         spec = CirculantSpec(m, n, 3, (1, 1, 1))
         floats = residue_components(spec, pattern_witnesses(n, (pattern,))[0].x)
@@ -225,7 +233,7 @@ class TestSignFactReport:
         assert all(row.passed for row in rows)
 
     def test_rows_match_enumeration(self):
-        # the facts stay checked independently of the evaluation kernel
+        # the facts stay checked independently of the recurrence that computes them
         for row in sign_fact_report():
             assert row.r == 3
             assert row.sums == enumerated_residue_sums(row.m, 3, row.pattern)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticirculant import polyeval
+from anticirculant.combinatorics import residue_sum_table
 from anticirculant.polyeval import (
     cyclic_power,
     eval_exact,
@@ -26,7 +27,6 @@ from anticirculant.tensor import (
     genvec_length,
     max_circulant_index,
 )
-from test_combinatorics import enumerated_residue_sums
 
 
 def gen_strategy(max_m=6, max_n=4):
@@ -507,7 +507,7 @@ class TestResidueRoute:
             pattern = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
             for r in range(1, genvec_length(m, len(pattern)) + 4):
                 folded = cyclic_power(pattern, m, r)
-                expected = enumerated_residue_sums(m, r, pattern)
+                expected = residue_sum_table(m, r, pattern)
                 assert tuple(folded[(j - m) % r] for j in range(r)) == expected
 
     def test_cyclic_power_rejects_zero(self):
