@@ -1,8 +1,8 @@
 """Exact combinatorics behind the circulant classification rules.
 
 Two tools live here, both in exact integer or rational arithmetic, and both
-on one routine, ``_folded_power``, the coefficients of an integer
-polynomial's m-th power added up by exponent mod r:
+on the evaluation kernel ``polyeval.cyclic_power``, the coefficients of an
+integer polynomial's m-th power added up by exponent mod r:
 
 * Alternating binomial sums over a periodic sequence.  For a sequence ``u``
   of period ``p`` and an order ``M``, the sums
@@ -28,8 +28,8 @@ polynomial's m-th power added up by exponent mod r:
   rule needs are recomputed exactly by ``sign_fact_report`` instead of being
   trusted as constants.
 
-The evaluation kernel ``polyeval.cyclic_power`` computes the same folded
-powers; the two are checked against each other in the tests.
+The tests check both against their definitions: a brute-force enumeration
+of the compositions, and the binomial sums written out term by term.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import enum
 from fractions import Fraction
 
 from .classifier import SPECIAL_R3_ORDERS
+from .polyeval import cyclic_power
 from .tensor import _Record
 
 
@@ -69,45 +70,6 @@ class PeriodicSequence(_Record):
         return all(t == self.u[0] for t in self.u)
 
 
-def _folded_power(pattern, m: int, r: int, offset: int) -> list:
-    """The coefficients c_e of ``P(z)**m`` summed by ``(e + offset) mod r``.
-
-    ``P(z) = t_1 + t_2 z + ... + t_L z**(L-1)`` is first folded mod
-    ``z**r - 1``, which leaves the sums as they are and keeps at most r
-    entries, and its leading zeros come out as a factor ``z**lead``.  With
-    ``a_0 != 0`` the first remaining entry, the coefficients follow one at a
-    time from ``P * (P**m)' = m * P' * P**m`` (J. C. P. Miller's recurrence
-    for the powers of a power series):
-
-        n * a_0 * c_n = sum_{k >= 1} ((m + 1) * k - n) * a_k * c_{n - k},
-
-    an exact int division.  With d < min(L, r) the degree that is left, each
-    of the m * d steps multiplies at most d earlier coefficients by small
-    ints, so the work does not grow with r, and only the last d + 1
-    coefficients (``ring``) and the r sums are held.  For ``(1, -1)`` a step
-    is the binomial row's ``c_n = -c_{n-1} * (m + 1 - n) / n``.
-    """
-    a = [0] * min(r, len(pattern))
-    for i, t in enumerate(pattern):
-        a[i % r] += t
-    sums = [0] * r
-    nonzero = [i for i, t in enumerate(a) if t]
-    if not nonzero:
-        return sums
-    lead, a0, size = nonzero[0], a[nonzero[0]], nonzero[-1] - nonzero[0] + 1
-    terms = [(k - lead, a[k]) for k in nonzero[1:]]
-    offset += lead * m
-    ring = [0] * size  # c_n sits at n mod size; unwritten slots stand for c_{<0} = 0
-    ring[0] = sums[offset % r] = a0**m
-    for n in range(1, m * (size - 1) + 1):
-        acc = 0
-        for k, t in terms:
-            acc += ((m + 1) * k - n) * t * ring[(n - k) % size]
-        ring[n % size] = c = acc // (n * a0)
-        sums[(n + offset) % r] += c
-    return sums
-
-
 def theorem1_sums(seq: PeriodicSequence, order: int) -> tuple:
     """The alternating binomial sums D_0..D_{p-1} at the given order, exactly.
 
@@ -119,7 +81,7 @@ def theorem1_sums(seq: PeriodicSequence, order: int) -> tuple:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     p, u = seq.period, seq.u
-    classes = _folded_power((1, -1), order, p, 0)
+    classes = cyclic_power((1, -1), order, p)
     return tuple(sum(s * u[(i + c) % p] for c, s in enumerate(classes)) for i in range(p))
 
 
@@ -144,9 +106,9 @@ def residue_sum_table(m: int, r: int, pattern) -> tuple:
     """Exact multinomial residue sums S_0..S_{r-1} of an integer pattern at order m.
 
     The pattern sits at coordinates 1..L, so a monomial's weighted position
-    sum is its exponent in the pattern polynomial's m-th power plus m.  Any
-    pattern length is answered, with work independent of r (see
-    ``_folded_power``).  The sums always satisfy
+    sum is its exponent in the pattern polynomial's m-th power plus m, so
+    S_j is entry ``(j - m) mod r`` of ``cyclic_power(pattern, m, r)``.  Any
+    pattern length is answered.  The sums always satisfy
     ``sum_j S_j == (sum(pattern)) ** m``.
     """
     pattern = tuple(pattern)
@@ -158,7 +120,8 @@ def residue_sum_table(m: int, r: int, pattern) -> tuple:
         raise ValueError(f"order must be >= 1, got {m}")
     if r < 1:
         raise ValueError(f"residue count must be >= 1, got {r}")
-    return tuple(_folded_power(pattern, m, r, m))
+    folded = cyclic_power(pattern, m, r)
+    return tuple(folded[(j - m) % r] for j in range(r))
 
 
 class SignFactRow(_Record):

@@ -9,10 +9,11 @@ Grouping by the index sum turns this into a dot product: the coefficient of
 ``v[s]`` is the coefficient of ``z**s`` in ``p(z)**m``, where
 ``p(z) = x_1 + x_2 z + ... + x_n z**(n-1)``.  One kernel computes them, never
 by FFT: ``cyclic_power(x, m, r)``, the r coefficients of ``p**m`` modulo
-``z**r - 1``.  For int input on a packing of at most ``PACKED_BITS_MAX``
-bits it is one big-int power (Kronecker substitution, ``_packed_power``),
-else m - 1 cyclic products over the folded x (``_cyclic_products``); both
-give the same integers.  If v repeats with period r, f is their dot product
+``z**r - 1``, on int input.  It is one big-int power (Kronecker
+substitution, ``_packed_power``) where the packing is narrow or dense, else
+J. C. P. Miller's recurrence (``_miller_power``); both give the same
+integers, and both hold O(packed width) bits, which ``KERNEL_BITS_MAX``
+bounds.  If v repeats with period r, f is their dot product
 with ``v[:r]``.  Every v repeats with its length ``L = (n-1)*m + 1``, where
 nothing wraps and the r coefficients are the whole profile.  Every scalar
 value and gradient is computed in int arithmetic: each int, bool, Fraction
@@ -41,16 +42,20 @@ from .tensor import DENSE_CAP_DEFAULT, CirculantSpec, GeneratingVector, window
 _EXACT_TYPES = frozenset((int, bool, Fraction))
 
 
-#: Packed widths ``span * b``, in bits, up to which ``cyclic_power`` takes
-#: int input through ``_packed_power``; wider ones keep ``_cyclic_products``.
-#: Both paths were timed over n in {4, 6, 8, 12}, m in {4, 6, 8, 12, 16, 20,
-#: 30, 40, 60}, r in {2, 3, 4, 6, 8, 12, 16, 25, 50, 100, 200, 300} and x of
-#: 2, 30 and 60 bits (2-core x86_64, Python 3.11).  On the 845 shapes up to
-#: 10k bits the packed path took at most 0.94 of the loop's time.  Of the 380
-#: shapes timed between 10k and 150k bits it lost on 113, the narrowest at
-#: 11k bits, by up to 2.4 times: CPython's Karatsuba products outgrow the
-#: loop's small ones.
+#: Packed widths ``span * b``, in bits, up to which ``cyclic_power`` always
+#: takes ``_packed_power``; see ``cyclic_power`` for wider ones.  Both paths
+#: were timed, called directly, over n in {2, 3, 4, 6, 8, 12}, m in {4, 16,
+#: 60, 200, 1000, 5000, 20000}, r in {2, 3, 5, 8, 16, 50, 200, 1000} and x of
+#: 1, 30 and 60 bits (2-core x86_64, Python 3.11.7).  Up to 8192 bits the
+#: packed path took a median 0.35 of the recurrence's time; every call the
+#: benchmark workloads make packs at most 900 bits.  On the 453 wider shapes
+#: the rule's pick took 23.8 s in all, against 22.9 s for the faster path of
+#: each, 37.2 s for the packed path alone and 94.4 s for the recurrence.
 PACKED_BITS_MAX = 8192
+
+#: Widths ``span * b``, in bits, past which ``cyclic_power`` refuses: either
+#: path holds numbers of about that many bits.
+KERNEL_BITS_MAX = 1 << 27
 
 
 def cyclic_power(x, m: int, r: int) -> list:
@@ -58,16 +63,18 @@ def cyclic_power(x, m: int, r: int) -> list:
 
     Entry k is the sum of the profile coefficients at positions congruent to
     k mod r; for r >= L = (n-1)*m + 1 the entries are the profile, then
-    zeros.  x is folded mod r to F, with ``top`` its highest nonzero index.
-    F**m has degree at most ``m * top``, so only its first
-    ``span = min(r, m * top + 1)`` entries can be nonzero.  With
-    ``s = bit_length(sum |F_k|)`` and ``b = m * s + 2`` every coefficient of
-    every power up to m is below ``2**(b - 2)`` in size.  If F holds only
-    ints and the packed width ``span * b`` is at most ``PACKED_BITS_MAX``,
-    F**m is one big-int power at slot width b (``_packed_power``).
-    Otherwise, and always for float or Fraction entries, whose rounding and
-    types the loop keeps, F goes through m - 1 cyclic products
-    (``_cyclic_products``).  On int input both give the same integers.
+    zeros.  x holds ints; any other nonzero entry raises ``TypeError``, as
+    the recurrence's exact divisions would floor it.  x is folded mod r to
+    F, with ``top`` its highest nonzero index.  F**m has degree at most
+    ``m * top``, so only its first ``span = min(r, m * top + 1)`` entries
+    can be nonzero.  With ``s = bit_length(sum |F_k|)`` and
+    ``b = m * s + 2`` every coefficient of every power up to m is below
+    ``2**(b - 2)`` in size.  A width ``span * b`` past ``KERNEL_BITS_MAX``
+    raises ``ValueError`` before any product.  F**m is one big-int power at
+    slot width b (``_packed_power``) if the width is at most
+    ``PACKED_BITS_MAX``, or the span at most four slots per nonzero entry of
+    F; else it is summed one coefficient at a time (``_miller_power``).
+    Both give the same integers.
     """
     if m < 1:
         raise ValueError(f"power must be >= 1, got {m}")
@@ -75,15 +82,21 @@ def cyclic_power(x, m: int, r: int) -> list:
     for i, t in enumerate(x):
         if t != 0:
             folded[i % r] += t
-    if set(map(type, folded)) == {int}:
-        top = r - 1
-        while top and not folded[top]:
-            top -= 1
-        span = min(r, m * top + 1)
-        b = m * sum(map(abs, folded)).bit_length() + 2
-        if span * b <= PACKED_BITS_MAX:
-            return _packed_power(folded[:span], m, b) + [0] * (r - span)
-    return _cyclic_products(folded, m, r)
+    if set(map(type, folded)) != {int}:
+        raise TypeError("cyclic_power takes int entries: scale rationals to ints first")
+    top = r - 1
+    while top and not folded[top]:
+        top -= 1
+    span = min(r, m * top + 1)
+    b = m * sum(map(abs, folded)).bit_length() + 2
+    if span * b > KERNEL_BITS_MAX:
+        raise ValueError(
+            f"power {m} of a {r}-slot sum would need {span * b} bits, "
+            f"the limit is {KERNEL_BITS_MAX}"
+        )
+    if span * b <= PACKED_BITS_MAX or span <= 4 * (r - folded.count(0)):
+        return _packed_power(folded[:span], m, b) + [0] * (r - span)
+    return _miller_power(folded, m)
 
 
 def _packed_power(folded: list, m: int, b: int) -> list:
@@ -139,31 +152,38 @@ def _fold(p: int, w: int) -> int:
     return p
 
 
-def _cyclic_products(folded: list, m: int, r: int) -> list:
-    """``F**m`` modulo ``z**r - 1`` by m - 1 cyclic products: O(m * nnz * r).
+def _miller_power(folded: list, m: int) -> list:
+    """``F**m`` modulo ``z**r - 1``, one coefficient at a time, for int F.
 
-    Each product adds one rotated copy per nonzero entry of F, from the
-    highest index down, so each entry receives its products in the order of
-    a direct convolution, and zero products are skipped with the zero
-    entries of F.  With ``top`` the highest nonzero index, the power j is
-    zero past entry ``j * top`` until it wraps, so only its first
-    ``min(r, j * top + 1)`` entries are computed.
+    F's leading zeros come out as a factor ``z**lead``.  With ``a_0 != 0``
+    the first remaining entry, the coefficients c_n of the rest to the m-th
+    power follow from ``P * (P**m)' = m * P' * P**m`` (J. C. P. Miller's
+    recurrence for the powers of a power series):
+
+        n * a_0 * c_n = sum_{k >= 1} ((m + 1) * k - n) * a_k * c_{n - k},
+
+    an exact int division.  With d < r the degree that is left, each of the
+    m * d steps multiplies at most nnz(F) - 1 earlier coefficients by F's
+    entries and small ints, and only the last d + 1 coefficients (``ring``)
+    and the r sums are held.
     """
-    terms = [(k, t) for k, t in enumerate(folded) if t != 0][::-1]
-    top = terms[0][0] if terms else 0
-    out, width = folded, top + 1  # out is zero from entry width on
-    for _ in range(m - 1):
-        if width < r:
-            out += [0] * (r - len(out))
-            width = min(r, width + top)
-        acc = [0] * width
+    r = len(folded)
+    out = [0] * r
+    nonzero = [k for k, t in enumerate(folded) if t]
+    if not nonzero:
+        return out
+    lead, a0, size = nonzero[0], folded[nonzero[0]], nonzero[-1] - nonzero[0] + 1
+    terms = [(k - lead, folded[k]) for k in nonzero[1:]]
+    offset = lead * m
+    ring = [0] * size  # c_n sits at n mod size; unwritten slots stand for c_{<0} = 0
+    ring[0] = out[offset % r] = a0**m
+    for n in range(1, m * (size - 1) + 1):
+        acc = 0
         for k, t in terms:
-            # rotated[i] = out[(i - k) mod r], the coefficient that z**k moves
-            # to i; k <= top < width
-            rotated = out[r - k :] + out[: width - k]
-            acc = [s + t * c for s, c in zip(acc, rotated)]
-        out = acc
-    return out + [0] * (r - len(out))
+            acc += ((m + 1) * k - n) * t * ring[(n - k) % size]
+        ring[n % size] = c = acc // (n * a0)
+        out[(n + offset) % r] += c
+    return out
 
 
 def _dot(a, b):
@@ -349,12 +369,18 @@ def residue_components(spec: CirculantSpec, x) -> tuple:
     Component ``j`` sums the profile coefficients whose 1-based index sum is
     congruent to ``j`` mod ``r``; profile position ``s`` has index sum
     ``s + m``, so component ``j`` is entry ``(j - m) mod r`` of
-    ``cyclic_power(x, m, r)``.  The split reads only (m, n, r), never the
-    seed: ``f(x) = sum_j seed[(j - m) mod r] * component_j(x)``, and the
-    components always add up to ``(x_1 + ... + x_n)**m``.  They are exact sums
-    over the nonzero entries of x, so a zero entry does not set their type.
+    ``cyclic_power(X, m, r) / d_x**m``, with ``X, d_x = _scaled(x)``.  The
+    split reads only (m, n, r), never the seed:
+    ``f(x) = sum_j seed[(j - m) mod r] * component_j(x)``, and the
+    components always add up to ``(x_1 + ... + x_n)**m``.  They are exact
+    sums over the nonzero entries of x, so a zero entry does not set their
+    type: a float (the exact value rounded once) if one of those is no int,
+    bool or Fraction, else a Fraction if one is, else an int.
     """
     _check_dim(spec, x)
     m, r = spec.m, spec.r
-    folded = cyclic_power(x, m, r)
-    return tuple(folded[(j - m) % r] for j in range(r))
+    scaled, d = _scaled(x)
+    folded = cyclic_power(scaled, m, r)
+    types = {type(t) for t in x if t != 0}
+    kind = float if not _EXACT_TYPES.issuperset(types) else Fraction if Fraction in types else int
+    return tuple(_typed(kind, folded[(j - m) % r], d**m) for j in range(r))

@@ -746,6 +746,43 @@ class TestExactOutputPastTheDigitLimit:
         assert "Exceeds the limit" in capsys.readouterr().err
 
 
+class TestOversizedOrders:
+    """Residue sums wider than ``polyeval.KERNEL_BITS_MAX`` bits are an input
+    error (exit 2), refused before any product."""
+
+    @pytest.fixture(autouse=True)
+    def no_products(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a kernel path ran")
+
+        monkeypatch.setattr(polyeval, "_packed_power", refuse)
+        monkeypatch.setattr(polyeval, "_miller_power", refuse)
+
+    @pytest.mark.parametrize("argv", [["sums", "100000000", "3", "1,1"],
+                                      ["sums", "2000000", "1000", "1,1"],
+                                      ["theorem1", "100000000", "1,2"]])
+    def test_sums_and_theorem1(self, capsys, argv):
+        assert main(argv) == 2
+        assert "the limit is" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--gradient"]])
+    def test_eval(self, tmp_path, capsys, flags):
+        # L = 200001; the point scales to ints of about 2000 bits, so the
+        # power is about 2e8 bits wide per slot
+        doc = write_doc(tmp_path, "deep.json", {"m": 100000, "n": 3, "r": 2, "seed": [1, 0.5]})
+        assert main(["eval", *flags, doc, "1e300,1e-300,1"]) == 2
+        assert "the limit is" in capsys.readouterr().err
+
+    def test_classify(self, tmp_path, capsys, monkeypatch):
+        # an order whose witness overflows the real cap needs a vector of
+        # hundreds of millions of entries, so the cap is lowered: the index-2
+        # witness (1, -1, 0) at m = 1000 packs 2 slots of 2002 bits
+        monkeypatch.setattr(polyeval, "KERNEL_BITS_MAX", 4000)
+        doc = write_doc(tmp_path, "deep.json", {"m": 1000, "n": 3, "r": 2, "seed": [0.5, 1]})
+        assert main(["classify", doc]) == 2
+        assert "the limit is 4000" in capsys.readouterr().err
+
+
 class TestHankelMatrixCommand:
     def test_all_ones_summary(self, tmp_path, capsys):
         doc = write_doc(tmp_path, "ones.json", {"m": 4, "n": 3, "r": 1, "seed": [1]})

@@ -218,12 +218,14 @@ class TestResidueSumTable:
     @pytest.mark.parametrize("pattern", [(1, -1), (1, 1, -2), (1, -3, 2), (1, 2, -3)])
     @pytest.mark.parametrize("m", SPECIAL_R3_ORDERS)
     def test_agrees_with_float_residue_split(self, pattern, m):
-        exact_sums = residue_sum_table(m, 3, pattern)
+        # the table and the split of a float witness, both against enumeration:
+        # the split's float components are the enumerated sums rounded once
+        expected = enumerated_residue_sums(m, 3, pattern)
+        assert residue_sum_table(m, 3, pattern) == expected
         n = max(3, len(pattern))
         spec = CirculantSpec(m, n, 3, (1, 1, 1))
-        floats = residue_components(spec, pattern_witnesses(n, (pattern,))[0].x)
-        for exact, approx in zip(exact_sums, floats):
-            assert abs(exact - approx) <= 1e-9 * max(1.0, abs(exact), abs(approx))
+        x = tuple(map(float, pattern_witnesses(n, (pattern,))[0].x))
+        assert residue_components(spec, x) == tuple(map(float, expected))
 
 
 class TestSignFactReport:
@@ -233,7 +235,7 @@ class TestSignFactReport:
         assert all(row.passed for row in rows)
 
     def test_rows_match_enumeration(self):
-        # the facts stay checked independently of the recurrence that computes them
+        # the facts stay checked independently of the kernel that computes them
         for row in sign_fact_report():
             assert row.r == 3
             assert row.sums == enumerated_residue_sums(row.m, 3, row.pattern)

@@ -16,7 +16,14 @@ from anticirculant.oracle import (
     matrix_psd,
     sphere_min,
 )
-from anticirculant.polyeval import _repeat, cyclic_power, eval_exact, eval_fast, value_and_gradient
+from anticirculant.polyeval import (
+    _repeat,
+    _scaled,
+    cyclic_power,
+    eval_exact,
+    eval_fast,
+    value_and_gradient,
+)
 from anticirculant.tensor import CirculantSpec, GeneratingVector, expand, hankel_matrix
 
 
@@ -321,11 +328,13 @@ def _random_gen(seed, period=None):
 
 
 def _scales(gen, row):
-    """Rounding scales of f and its gradient: the same sums taken over |x| and |v|."""
+    """Rounding scales of f and its gradient: the same sums taken over |x| and |v|,
+    the |x| sums on |x| scaled to ints and rounded once."""
     v = np.abs(np.array(gen.v))
-    x_abs = [abs(t) for t in row]
-    p_abs = np.array(cyclic_power(x_abs, gen.m, len(gen.v)))
-    d_abs = np.array(cyclic_power(x_abs, gen.m - 1, len(gen.v) - gen.n + 1))
+    x_abs, d = _scaled([abs(t) for t in row])
+    p_abs = np.array([c / d**gen.m for c in cyclic_power(x_abs, gen.m, len(gen.v))])
+    width = len(gen.v) - gen.n + 1
+    d_abs = np.array([c / d ** (gen.m - 1) for c in cyclic_power(x_abs, gen.m - 1, width)])
     return float(v @ p_abs), gen.m * sliding_window_view(v, gen.n).T @ d_abs
 
 

@@ -64,7 +64,9 @@ class TestConvolution:
         assert profile([1, 2], 2) == [1, 4, 4]
 
     def test_exact_on_fractions(self):
-        out = profile([Fraction(1, 3), Fraction(3, 5)], 2)
+        # rationals go in scaled to ints, X = x * d: p(z)**m = P_X(z)**m / d**m
+        scaled, d = polyeval._scaled([Fraction(1, 3), Fraction(3, 5)])
+        out = [Fraction(c, d**2) for c in profile(scaled, 2)]
         assert out == [Fraction(1, 9), Fraction(2, 5), Fraction(9, 25)]
 
     def test_conv_power_examples(self):
@@ -73,7 +75,7 @@ class TestConvolution:
         assert profile([1, 0, -1], 2) == [1, 0, -2, 0, 1]
 
     def test_conv_power_length(self):
-        assert len(profile((1.0, 2.0, 3.0), 4)) == genvec_length(4, 3)
+        assert len(profile((1, 2, 3), 4)) == genvec_length(4, 3)
 
     def test_conv_power_total_is_power_of_sum(self):
         assert sum(profile((1, 2, 3), 4)) == 6**4
@@ -401,8 +403,10 @@ class TestAlphaCoefficients:
 
 
 def _dot_profile(gen, x):
-    """f(x) over the whole coefficient profile (r = L): the reference for folding."""
-    return sum(a * b for a, b in zip(gen.v, profile(x, gen.m)))
+    """f(x) over the whole coefficient profile (r = L), exactly, on x scaled
+    to ints: the reference for folding."""
+    scaled, d = polyeval._scaled(x)
+    return Fraction(sum(a * b for a, b in zip(gen.v, profile(scaled, gen.m)))) / d**gen.m
 
 
 def _exact_type(gen, x):
@@ -485,28 +489,28 @@ class TestResidueRoute:
 
     def test_cyclic_power_folds_the_profile(self):
         # r from 1 to L + 3 against enumeration, with zero entries, an
-        # all-zero x, x with only x_1 nonzero, Fractions and bools
+        # all-zero x, x with only x_1 nonzero, and bools
         rng = random.Random(3)
-        special = [(0, 0, 0), (Fraction(0), False, 0), (2, 0, 0), (Fraction(-1, 3), 0, False)]
+        special = [(0, 0, 0), (0, False, 0), (2, 0, 0), (-3, 0, False)]
         for trial in range(60):
             m, n = rng.randint(2, 5), rng.randint(2, 4)
             if trial < 2 * len(special):
                 x = special[trial // 2]
                 n = len(x)
             else:
-                choices = (0, 0, True, False, rng.randint(-3, 3), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                choices = (0, 0, True, False, rng.randint(-3, 3), rng.randint(-12, 12))
                 x = tuple(rng.choice(choices) for _ in range(n))
             for r in range(1, genvec_length(m, n) + 4):
                 assert cyclic_power(x, m, r) == _naive_residue_sums(x, m, r)
 
-    def test_cyclic_power_matches_residue_sum_table(self):
+    def test_residue_sum_table_is_the_folded_power_rotated_by_m(self):
         # the table keys a coefficient by its 1-based index sum, position + m
         rng = random.Random(4)
         for _ in range(60):
             m = rng.randint(1, 6)
             pattern = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
             for r in range(1, genvec_length(m, len(pattern)) + 4):
-                folded = cyclic_power(pattern, m, r)
+                folded = _folded_power(pattern, m, r)
                 expected = residue_sum_table(m, r, pattern)
                 assert tuple(folded[(j - m) % r] for j in range(r)) == expected
 
@@ -625,20 +629,20 @@ class TestResidueRoute:
 
 def _routes(monkeypatch):
     """Per kernel path, the calls ``cyclic_power`` makes from now on:
-    ``packed`` gets ``(r, width in bits)``, ``loop`` gets r."""
-    seen = {"packed": [], "loop": []}
-    packed, loop = polyeval._packed_power, polyeval._cyclic_products
+    ``packed`` gets ``(slots, width in bits)``, ``recurrence`` gets r."""
+    seen = {"packed": [], "recurrence": []}
+    packed, recurrence = polyeval._packed_power, polyeval._miller_power
 
     def recording_packed(folded, m, b):
         seen["packed"].append((len(folded), len(folded) * b))
         return packed(folded, m, b)
 
-    def recording_loop(folded, m, r):
-        seen["loop"].append(r)
-        return loop(folded, m, r)
+    def recording_recurrence(folded, m):
+        seen["recurrence"].append(len(folded))
+        return recurrence(folded, m)
 
     monkeypatch.setattr(polyeval, "_packed_power", recording_packed)
-    monkeypatch.setattr(polyeval, "_cyclic_products", recording_loop)
+    monkeypatch.setattr(polyeval, "_miller_power", recording_recurrence)
     return seen
 
 
@@ -654,20 +658,28 @@ def _folded_power(x, m, r):
     return out
 
 
-def _both_paths(monkeypatch, x, m, r):
-    """``cyclic_power(x, m, r)`` through the packed path and through the loop."""
-    monkeypatch.setattr(polyeval, "PACKED_BITS_MAX", math.inf)
-    packed = cyclic_power(x, m, r)
-    monkeypatch.setattr(polyeval, "PACKED_BITS_MAX", -1)
-    looped = cyclic_power(x, m, r)
-    monkeypatch.undo()
-    return packed, looped
+def _direct_paths(x, m, r):
+    """F**m modulo z**r - 1 from each kernel path, called directly on x
+    folded mod r to F: packed at the documented slot width b over all r
+    slots and over the first ``span``, and the recurrence."""
+    folded = [0] * r
+    for i, t in enumerate(x):
+        folded[i % r] += t
+    top = max((k for k, t in enumerate(folded) if t), default=0)
+    span = min(r, m * top + 1)
+    b = m * sum(map(abs, folded)).bit_length() + 2
+    return (
+        polyeval._packed_power(folded, m, b),
+        polyeval._packed_power(folded[:span], m, b) + [0] * (r - span),
+        polyeval._miller_power(folded, m),
+    )
 
 
 class TestPackedPower:
-    """Kronecker substitution in ``cyclic_power``: the loop's integers, for int input."""
+    """``cyclic_power``'s two paths, Kronecker substitution and Miller's
+    recurrence, against the schoolbook power, and the rule that picks one."""
 
-    def test_packed_equals_the_loop_and_enumeration(self, monkeypatch):
+    def test_both_paths_equal_the_schoolbook_power_and_enumeration(self):
         # negative entries, zeros, r = 1, m = 1, r > L, entries of 0 to 200 bits
         rng = random.Random(21)
         checked = 0
@@ -676,15 +688,16 @@ class TestPackedPower:
             bits = rng.choice((0, 1, 2, 8, 30, 60, 120, 200))
             x = [rng.choice((0, rng.randint(-(1 << bits), 1 << bits))) for _ in range(n)]
             r = rng.choice((1, rng.randint(1, genvec_length(m, n) + 5)))
-            packed, looped = _both_paths(monkeypatch, x, m, r)
-            assert packed == looped == _folded_power(x, m, r)
-            assert [type(t) for t in packed] == [int] * r
+            expected = _folded_power(x, m, r)
+            for out in _direct_paths(x, m, r):
+                assert out == expected
+                assert [type(t) for t in out] == [int] * r
             if m > 1 and n > 1 and n**m <= 4096 and trial % 5 == 0:
-                assert packed == _naive_residue_sums(x, m, r)
+                assert expected == _naive_residue_sums(x, m, r)
                 checked += 1
         assert checked >= 100
 
-    def test_edge_shapes(self, monkeypatch):
+    def test_edge_shapes(self):
         cases = [
             ([0, 0, 0], 5, 2),          # x = 0
             ([7], 9, 1),                # r = 1, n = 1
@@ -692,41 +705,79 @@ class TestPackedPower:
             ([-1, 1], 7, 1),            # the sum is 0
             ([1, -1, 2], 4, 40),        # r > L = 9
             ([-(1 << 200), 1 << 199, 0, -1], 3, 5),
-            ([0, 0, 5], 6, 3),          # only x_3: folded to index 2
+            ([0, 0, 5], 6, 3),          # one nonzero entry, x_3: folded to index 2
+            ([0, 0, 3, -1], 5, 7),      # leading zeros: the first nonzero is F_2
+            ([1, 2, 0, -1], 4, 3),      # x_1 and x_4 cancel when folded: F_0 = 0
+            ([-2, 1, 3], 5, 4),         # negative a_0
+            ([-3], 6, 5),               # one negative entry
+            ([1, 2, -1, 3, 0, 2, -2], 4, 3),  # pattern longer than r
         ]
         for x, m, r in cases:
-            packed, looped = _both_paths(monkeypatch, x, m, r)
-            assert packed == looped == _folded_power(x, m, r)
+            expected = _folded_power(x, m, r)
+            assert list(_direct_paths(x, m, r)) == [expected] * 3
+            assert cyclic_power(x, m, r) == expected
 
-    def test_cutoff_splits_the_routes(self, monkeypatch):
-        # the width span * b, b = m * bits(sum |F_k|) + 2, on each side of the cutoff
+    def test_rule_picks_the_path(self, monkeypatch):
+        # width clause: span * b, b = m * bits(sum |F_k|) + 2, on each side of
+        # PACKED_BITS_MAX, with two nonzero entries over span = m + 1 = 9 > 4 * 2
         limit = polyeval.PACKED_BITS_MAX
-        m, r = 8, 4
-        s = (limit // r - 2) // m  # the widest sum that still packs, in bits
-        assert r * (m * s + 2) <= limit < r * (m * (s + 1) + 2)
-        below, above = [1 << (s - 1), -3, 0, 1], [1 << s, -3, 0, 1]
+        m, r, span = 8, 40, 9
+        s = (limit // span - 2) // m  # the widest sum that still packs, in bits
+        assert span * (m * s + 2) <= limit < span * (m * (s + 1) + 2)
+        narrow, wide = [1 << (s - 1), 1], [1 << s, 1]
         seen = _routes(monkeypatch)
-        values = [cyclic_power(x, m, r) for x in (below, above)]
+        values = [cyclic_power(x, m, r) for x in (narrow, wide)]
+        assert seen == {"packed": [(span, span * (m * s + 2))], "recurrence": [r]}
+        # span clause: past the width, spans of 8 = 4 * 2 slots pack and 9 do not
+        seen["packed"].clear()
+        seen["recurrence"].clear()
+        big = [1 << 200, -1]
+        values += [cyclic_power(big, m, 8), cyclic_power(big, m, 9)]
+        b = m * 201 + 2
+        assert 8 * b > limit
+        assert seen == {"packed": [(8, 8 * b)], "recurrence": [9]}
         # past L - 1 = degree of F**m nothing wraps, and only L slots pack
+        seen["packed"].clear()
         cyclic_power([1, -1, 2], 4, 40)
-        assert seen == {"packed": [(r, r * (m * s + 2)), (9, 9 * (4 * 3 + 2))], "loop": [r]}
+        assert seen["packed"] == [(9, 9 * (4 * 3 + 2))]
         monkeypatch.undo()
-        for x, value in zip((below, above), values):
-            packed, looped = _both_paths(monkeypatch, x, m, r)
-            assert packed == looped == value
+        cases = [(narrow, r), (wide, r), (big, 8), (big, 9)]
+        assert values == [_folded_power(x, m, width) for x, width in cases]
 
-    def test_non_int_input_keeps_the_loop(self, monkeypatch):
+    def test_non_int_input_raises(self, monkeypatch):
+        # the recurrence's exact divisions would floor a Fraction or a float
         seen = _routes(monkeypatch)
-        for x in ((0.5, -1, 2), (Fraction(1, 3), 2, 0), (1, 2.0, 3)):
-            cyclic_power(x, 4, 3)
-        assert seen == {"packed": [], "loop": [3, 3, 3]}
-        # zeros of any type are skipped, bools fold into ints
+        for x in ((0.5, -1, 2), (Fraction(1, 3), 2, 0), (1, 2.0, 3), (Fraction(2), 1, 1)):
+            with pytest.raises(TypeError, match="int entries"):
+                cyclic_power(x, 4, 3)
+        assert seen == {"packed": [], "recurrence": []}
+        # zero entries of any type are skipped, bools fold into ints
         cyclic_power((0.0, Fraction(0), True, 2), 4, 3)
         assert seen["packed"] == [(3, 3 * (4 * 2 + 2))]
 
+    def test_width_past_the_cap_raises_before_any_product(self, monkeypatch):
+        # both paths stubbed: a call at the cap reaches one, a call past it
+        # raises first; r = 1 makes span = 1 and the width b = m * bits(|x_1|) + 2
+        limit = polyeval.KERNEL_BITS_MAX
+        called = []
+        monkeypatch.setattr(polyeval, "_packed_power", lambda f, m, b: called.append(b) or f)
+        monkeypatch.setattr(polyeval, "_miller_power", lambda f, m: called.append(m) or f)
+        cyclic_power([2], (limit - 2) // 2, 1)  # bits(2) = 2: exactly the cap
+        assert called == [limit]
+        assert (limit - 1) % 7 == 0
+        with pytest.raises(ValueError, match=f"need {limit + 1} bits"):
+            cyclic_power([64], (limit - 1) // 7, 1)  # bits(64) = 7
+        # a wide span, on the recurrence's side of the rule
+        m = (limit // 1000 - 2) // 2 + 1
+        assert 1000 * (2 * m + 2) > limit
+        with pytest.raises(ValueError, match="the limit is"):
+            cyclic_power([1, 1], m, 1000)
+        assert called == [limit]
+
     def test_covered_specs_take_the_packed_path(self, monkeypatch):
-        # classify over shapes and seeds like the covered bench workload's:
-        # int, Fraction and float seeds, PSD and not; every kernel call packs
+        # classify over shapes and seeds like the covered and uncovered bench
+        # workloads': int, Fraction and float seeds, PSD and not; every kernel
+        # call packs, none takes the recurrence
         seen = _routes(monkeypatch)
         from anticirculant.classifier import classify
 
@@ -741,28 +792,42 @@ class TestPackedPower:
                 seeds = [[a] * r, [-a] * r, [a] * (r - 1) + [b], off_rule]
                 for seed in seeds:
                     classify(CirculantSpec(m, n, r, tuple(seed)))
-        assert len(seen["packed"]) >= 50
-        assert seen["loop"] == []
+        covered = len(seen["packed"])
+        # outside the families: constant and alternating seeds, exact and
+        # float, PSD by construction and not
+        for m, n, r in ((6, 5, 6), (6, 6, 6), (8, 4, 4), (8, 5, 4), (8, 6, 4), (10, 5, 5)):
+            a = rng.randint(2, 9)
+            x = rng.uniform(0.5, 2.0)
+            seeds = [[a] * r, [a, rng.randint(-a, a)] * (r // 2) + [a] * (r % 2),
+                     [x] * r, [x, -1.3 * x] * (r // 2) + [x] * (r % 2)]
+            for seed in seeds:
+                classify(CirculantSpec(m, n, r, tuple(seed)), evidence_starts=8)
+        assert covered >= 50
+        assert len(seen["packed"]) >= covered + 24
+        assert seen["recurrence"] == []
         assert max(width for _, width in seen["packed"]) <= polyeval.PACKED_BITS_MAX
 
     def test_residue_components_keep_their_types_and_float_bits(self):
-        # float and Fraction input keeps the product loop: reprs of its values
+        # float components are the exact ones rounded once; exact input keeps
+        # its type, and zero entries set none
         cases = [
-            (CirculantSpec(6, 3, 3, (1, 1, 1)), (0.4, -1.1, 0.3),
-             "(5.867086000000002, -1.031415, -4.831575000000002)"),
-            (CirculantSpec(8, 5, 4, (1, 2, 1, 2)), (0.1, -0.7, 0.25, 1e-3, -2.5),
-             "(328.670319223116, 2480.3897484694044, 1851.4033219536018, -319.965055120364)"),
-            (CirculantSpec(12, 4, 2, (1, -1)), (1.5, 0, -0.3, 2),
-             "(576460.7866631617, 576460.717943685)"),
-            (CirculantSpec(6, 5, 4, (1, 1, 1, 1)), (Fraction(1, 3), 2, 0.5, -1, 0),
-             "(357.1697530864198, 129.74382716049385, -338.1843921467764, -110.75848765432102)"),
-            (CirculantSpec(4, 4, 3, (1, 2, 5)), (Fraction(1, 2), True, 2, -1),
-             "(Fraction(1, 2), Fraction(193, 16), Fraction(53, 2))"),
-            (CirculantSpec(4, 4, 3, (1, 2, 5)), (0, True, 2.0 - 2.0, -1), "(6, -3, -3)"),
+            (CirculantSpec(6, 3, 3, (1, 1, 1)), (0.4, -1.1, 0.3)),
+            (CirculantSpec(8, 5, 4, (1, 2, 1, 2)), (0.1, -0.7, 0.25, 1e-3, -2.5)),
+            (CirculantSpec(12, 4, 2, (1, -1)), (1.5, 0, -0.3, 2)),
+            (CirculantSpec(6, 5, 4, (1, 1, 1, 1)), (Fraction(1, 3), 2, 0.5, -1, 0)),
+            (CirculantSpec(10, 3, 3, (1, 1, 1)), (1e-30, 3e15, -0.0)),
         ]
-        for spec, x, expected in cases:
+        for spec, x in cases:
+            m, r = spec.m, spec.r
+            folded = _folded_power(tuple(map(Fraction, x)), m, r)
+            exact = [folded[(j - m) % r] for j in range(r)]
             parts = residue_components(spec, x)
-            assert repr(parts) == expected
+            assert [type(p) for p in parts] == [float] * r
+            assert list(parts) == [float(t) for t in exact]
+        spec = CirculantSpec(4, 4, 3, (1, 2, 5))
+        parts = residue_components(spec, (Fraction(1, 2), True, 2, -1))
+        assert repr(parts) == "(Fraction(1, 2), Fraction(193, 16), Fraction(53, 2))"
+        assert repr(residue_components(spec, (0, True, 2.0 - 2.0, -1))) == "(6, -3, -3)"
 
 
 def _mixed_case(rng):
