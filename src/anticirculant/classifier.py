@@ -18,12 +18,14 @@ The case only decides that failing the rule is a proved NotPSD and which
 witness families are tried first.  Anything else, including a generating
 vector given without r, is ``Uncovered`` unless a unit vector refutes it: no
 claim is made, and a clearly non-certified numerical minimum estimate is
-attached as evidence.  NotPSD verdicts carry an explicitly evaluated negative
-witness vector.  A PSD verdict carries the power-sum certificate and the
-strong-Hankel one it implies (the associated Hankel matrix is then
-alpha*11^T + beta*aa^T), both checked by ``strong_hankel_check`` on at
-most 2r entries of v, the window that holds every (seed entry, parity of s)
-pair (``tensor.window``).
+attached as evidence.  A NotPSD verdict's witness is the first candidate, in
+a fixed canonical order, at which f is exactly negative; in a proved case
+some point is, and if no candidate up to the alpha ladder's top is, the
+case's alpha families go on past it (``_past_the_ladder``).  A PSD verdict
+carries the power-sum certificate and the strong-Hankel one it implies (the
+associated Hankel matrix is then alpha*11^T + beta*aa^T), both checked by
+``strong_hankel_check`` on at most 2r entries of v, the window that holds
+every (seed entry, parity of s) pair (``tensor.window``).
 
 Only even orders are classifiable: for odd m the zero tensor is the only
 positive semidefinite Hankel tensor, so odd orders are rejected.
@@ -49,17 +51,16 @@ from .tensor import (
     differences,
     distinct,
     expand,
-    hankel_matrix,
     pattern_witnesses,
     window,
 )
+# hankel_matrix is not called here; bench/spans.py traces it under this name.
+from .tensor import hankel_matrix  # noqa: F401
 
 if TYPE_CHECKING:
     from .oracle import SphereMinResult
 
 REL_TOL_DEFAULT = 1e-12
-#: Witness values must clear -1e-9 times the generating vector scale.
-WITNESS_REL_MARGIN = 1e-9
 #: Rounding allowance of the certificate check, in ulps of max|v|: the
 #: certificate's t is a float even for exact input.
 CERTIFICATE_ULPS = 8
@@ -328,9 +329,9 @@ def strong_hankel_check(
     )
 
 
-#: Escalation schedule for alpha-family witnesses: the leading alpha
-#: coefficient is odd-degree, so any strictly negative leading coefficient
-#: eventually dominates.
+#: Escalation schedule for alpha-family witnesses: a strictly negative
+#: leading coefficient of f along a family eventually dominates, and
+#: ``_past_the_ladder`` goes on past the top for the first one that has it.
 ALPHA_LADDER = tuple(float(2 ** k) for k in range(0, 31))
 #: Each case's own families, tried before the generic tail in this order:
 #: differences of these steps, these sign patterns, then these alpha families
@@ -374,8 +375,7 @@ def _alpha_rung(case: Case, n: int, alpha: float) -> tuple[WitnessVector, ...]:
 
 @functools.lru_cache(maxsize=64)
 def _generic_tail(n: int) -> tuple[WitnessVector, ...]:
-    """Everything that fits, so no covered case can fall through to the
-    oracle merely because its family list was too narrow."""
+    """Every difference and named pattern that fits, after the case's own."""
     out = differences(n, 1)
     if n >= 3:
         out += differences(n, 2)
@@ -383,10 +383,8 @@ def _generic_tail(n: int) -> tuple[WitnessVector, ...]:
 
 
 def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
-    """Candidate witnesses in a fixed canonical order, case-specific first.
-
-    A rung of the alpha ladder is built when a verdict first reads it.
-    """
+    """Candidate witnesses in a fixed canonical order, case-specific first;
+    a rung of the alpha ladder is built when a verdict first reads it."""
     yield from _necessary_witnesses(gen, tol)
     n = gen.n
     yield from _family_prefix(case, n)
@@ -396,58 +394,53 @@ def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
     yield from _generic_tail(n)
 
 
-def _hankel_eigenvector(gen: GeneratingVector) -> WitnessVector:
-    """Eigenvector of the smallest eigenvalue of the associated Hankel matrix.
+def _past_the_ladder(case: Case, gen: GeneratingVector):
+    """``(witness, exact value)`` past ``ALPHA_LADDER``, or None.
 
-    At m = 2 the form is x^T A x, so this vector is its minimizer on the
-    sphere: the witness when the seed misses the rule by less than the
-    families and the sphere search resolve.
+    Along alpha(q) f is a polynomial in alpha of degree at most m, negative
+    for all large alpha iff its highest nonzero forward difference over
+    alpha = 0..m is.  For the first (family, q) where it is, alpha doubles
+    from 2**31 until f is negative; past float64 that is an input error.
     """
-    import numpy as np
+    n, m = gen.n, gen.m
+    for family in _CASE_FAMILIES.get(case, _NO_FAMILIES)[2]:
+        members = [alpha_witnesses(n, family, alpha) for alpha in range(m + 1)]
+        for q in range(n):
+            g, top = [eval_exact(gen, rung[q].x) for rung in members], 0
+            while g:
+                top, g = g[0] or top, [b - a for a, b in zip(g, g[1:])]
+            if top >= 0:
+                continue
+            alpha = 2.0 * ALPHA_LADDER[-1]
+            while alpha <= sys.float_info.max:
+                candidate = alpha_witnesses(n, family, alpha)[q]
+                value = eval_exact(gen, candidate.x)  # off the point memo
+                if value < 0:
+                    return candidate, value
+                alpha *= 2
+            e = 1024  # f < 0 for all large alpha: doubling e gets there
+            while eval_exact(gen, alpha_witnesses(n, family, 2**e)[q].x) >= 0:
+                e *= 2
+            raise ValueError(f"the seed misses the rule by too little for a float64 witness: "
+                             f"f along {family}(q={q + 1}) is not negative at any alpha = 2**k "
+                             f"up to 2**1023, and is at alpha = 2**{e}")
+    return None
 
-    vector = np.linalg.eigh(hankel_matrix(gen))[1][:, 0]
-    return WitnessVector(tuple(float(t) for t in vector), "hankel-eigenvector")
 
-
-def _find_witness(case, gen, tol, evidence_starts, rng_seed):
-    """``(witness, value, exact)``: the first canonical witness whose value,
-    rounded once, clears the margin; else the first of those candidates, the
-    sphere argmin and (m = 2) the Hankel eigenvector, most negative value
-    first, that is negative in exact arithmetic.  A rounded value below the
-    negative margin, ``-inf`` included, is the rounding of a negative f(x).
-    value is f(witness) rounded once and clamped to ``-sys.float_info.max``;
-    exact is f(witness) when it is already known, else None.
-    """
-    threshold = -WITNESS_REL_MARGIN * gen.max_abs()
-    tried = []
+def _find_witness(case, gen, tol):
+    """``(witness, f(witness))``, f(witness) exact or rounded once: the first
+    canonical candidate at which f is negative, else the first alpha family
+    member past the ladder."""
     for candidate in _witness_candidates(case, gen, tol):
-        fast = eval_fast(gen, candidate.x)
-        value = rounded(fast)
-        if value < threshold:
-            if math.isinf(value):  # float input, f(x) past float64
-                return candidate, -sys.float_info.max, eval_exact(gen, candidate.x)
-            return candidate, value, None if type(fast) is float else fast
-        tried.append((candidate, value))
-    from . import oracle as oracle_mod
-
-    searched = oracle_mod.sphere_min(gen, starts=evidence_starts, rng_seed=rng_seed)
-    if searched.argmin is not None:
-        witness = WitnessVector(searched.argmin, "sphere-search")
-        if searched.min_value < threshold:
-            return witness, searched.min_value, None
-        tried.append((witness, searched.min_value))
-    if gen.m == 2:
-        candidate = _hankel_eigenvector(gen)
-        tried.append((candidate, eval_fast(gen, candidate.x)))
-    tried.sort(key=lambda item: item[1])
-    for candidate, _ in tried:
-        value = eval_exact(gen, candidate.x)
-        if value < 0:
-            return candidate, rounded(value), value
-    raise RuntimeError(
-        "seed criterion says not positive semidefinite, but no candidate witness "
-        "is negative in exact arithmetic"
-    )
+        value = eval_fast(gen, candidate.x)
+        # rounding keeps the sign: a negative f(x) that underflows is -0.0
+        if value < 0 or (value == 0 and math.copysign(1.0, value) < 0):
+            return candidate, value
+    found = _past_the_ladder(case, gen)
+    if found is None:  # the case's theorem says some point has f < 0
+        raise RuntimeError("seed criterion says not positive semidefinite, but no "
+                           "candidate witness is negative in exact arithmetic")
+    return found
 
 
 def _past_float64(what: str, gen: GeneratingVector, x, value: float,
@@ -485,8 +478,10 @@ def _psd_verdict(case, gen, tol, rel_tol, notes) -> Verdict:
     )
 
 
-def _not_psd_verdict(case, gen, tol, rel_tol, notes, evidence_starts, rng_seed) -> Verdict:
-    witness, value, exact = _find_witness(case, gen, tol, evidence_starts, rng_seed)
+def _not_psd_verdict(case, gen, tol, rel_tol, notes) -> Verdict:
+    witness, fast = _find_witness(case, gen, tol)
+    value = max(rounded(fast), -sys.float_info.max)  # float input past float64: -inf
+    exact = None if type(fast) is float else fast
     return Verdict(
         status=Status.NOT_PSD,
         case=case,
@@ -538,9 +533,7 @@ def classify(
     if case is None:
         # unit vector e_{j+1} evaluates f to v[j*m]: a necessary condition
         if any(gen.v[j * gen.m] < -tol for j in range(gen.n)):
-            return _not_psd_verdict(
-                Case.NECESSARY_ONLY, gen, tol, rel_tol, notes, evidence_starts, rng_seed
-            )
+            return _not_psd_verdict(Case.NECESSARY_ONLY, gen, tol, rel_tol, notes)
         from . import oracle as oracle_mod
 
         evidence = oracle_mod.sphere_min(gen, starts=evidence_starts, rng_seed=rng_seed)
@@ -563,4 +556,4 @@ def classify(
 
     if _psd_conditions(subject.seed, tol):
         return _psd_verdict(case, gen, tol, rel_tol, notes)
-    return _not_psd_verdict(case, gen, tol, rel_tol, notes, evidence_starts, rng_seed)
+    return _not_psd_verdict(case, gen, tol, rel_tol, notes)

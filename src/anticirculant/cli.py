@@ -31,13 +31,13 @@ exits 3 if it does not hold.  ``hankelmatrix`` reports LAPACK's eigenvalues
 of the associated Hankel matrix, a numerical answer.
 
 numpy is imported only by the commands that do numeric work: ``oracle``,
-``hankelmatrix``, and a ``classify`` that runs the sphere search: an
-Uncovered verdict, or a NotPSD one that no witness family refutes.  A
-covered ``classify``, with or without ``--verify``, and ``eval``, ``sums``,
-``signfacts`` and ``theorem1`` run in pure Python.  ``combinatorics`` is
-imported only by ``sums``, ``signfacts`` and ``theorem1``, so a covered
-``classify`` imports neither numpy, the standard library's ``dataclasses``,
-nor ``combinatorics``.
+``hankelmatrix``, and a ``classify`` that runs the sphere search, which
+only an Uncovered verdict does.  A covered ``classify``, whose NotPSD
+witness is found by exact signs, with or without ``--verify``, and
+``eval``, ``sums``, ``signfacts`` and ``theorem1`` run in pure Python.
+``combinatorics`` is imported only by ``sums``, ``signfacts`` and
+``theorem1``, so a covered ``classify`` imports neither numpy, the standard
+library's ``dataclasses``, nor ``combinatorics``.
 """
 
 from __future__ import annotations
@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None,
                    help="relative seed-comparison tolerance (default 1e-12)")
     p.add_argument("--starts", type=int, default=64,
-                   help="oracle starts for evidence/fallback (default 64)")
+                   help="sphere-search starts of an Uncovered verdict's evidence (default 64)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--verify", action="store_true",
                    help="re-parse the verdict document and re-verify the status")

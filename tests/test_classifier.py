@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -19,7 +20,6 @@ from anticirculant.classifier import (
     CertificateKind,
     REL_TOL_DEFAULT,
     Status,
-    WITNESS_REL_MARGIN,
     classify,
     power_sum_certificate,
     power_sum_value,
@@ -246,7 +246,7 @@ class TestNotPsdVerdicts:
             gen = expand(spec)
             value = eval_fast(gen, verdict.witness.x)
             assert float(value) == pytest.approx(verdict.witness_value, rel=1e-12)
-            assert value < -WITNESS_REL_MARGIN * gen.max_abs()
+            assert value < -1e-9 * gen.max_abs()
 
     def test_quartic_mismatched_pairs(self):
         verdict = classify(CirculantSpec(4, 4, 4, (1, 0.5, 1, -0.5)))
@@ -296,9 +296,8 @@ class TestExactArbiter:
             gen = expand(spec)
             exact = eval_exact(gen, verdict.witness.x)
             assert exact < 0, spec
-            if verdict.witness_value >= -WITNESS_REL_MARGIN * gen.max_abs():
-                assert verdict.witness_value == float(exact)
-                below_margin += 1
+            assert verdict.witness_value == float(exact), spec
+            below_margin += verdict.witness_value >= -1e-9 * gen.max_abs()
         assert below_margin >= 10
 
     def test_float_value_inside_its_rounding_bound_is_not_a_witness(self):
@@ -330,6 +329,143 @@ class TestExactArbiter:
         assert verdict.witness_value == float(eval_exact(expand(spec), verdict.witness.x))
         assert verdict.witness_value == -272.8
         assert set(seen) == {4}
+
+
+#: Covered shapes of all six cases, m = 2 included, for seeds drawn off the
+#: rule by one part in 10**k.
+OFF_RULE_SHAPES = ((4, 3, 1), (2, 3, 1), (4, 6, 5), (8, 5, 3), (2, 5, 3), (6, 4, 3),
+                   (12, 8, 3), (4, 4, 2), (2, 4, 2), (10, 4, 2), (6, 5, 4), (2, 5, 4),
+                   (10, 8, 6), (4, 4, 4), (4, 6, 4), (4, 5, 4))
+
+
+def _off_rule_seed(data, r, a, b, gap):
+    """An r-entry seed the rule v[s] = alpha + beta*(-1)^s with v0 = a, v1 = b
+    (``|b| <= a``) misses by gap: one entry moved, the odd entries past the
+    even ones, or the even ones below the odd."""
+    if r == 1:
+        return (-gap,)
+    seed = [a if s % 2 == 0 else b for s in range(r)] if r % 2 == 0 else [a] * r
+    sign = data.draw(st.sampled_from((-1, 1)), label="sign")
+    # moving one entry breaks the rule only where another entry must equal it
+    kind = data.draw(st.integers(r == 2, 2 if r % 2 == 0 else 0), label="kind")
+    if kind == 0:
+        seed[data.draw(st.integers(0, r - 1), label="entry")] += sign * gap
+    elif kind == 1:
+        seed[1::2] = [sign * (a + gap)] * (r // 2)
+    else:
+        seed[0::2] = [a - gap] * ((r + 1) // 2)
+        seed[1::2] = [sign * a] * (r // 2)
+    return tuple(seed)
+
+
+def _first_exactly_negative(spec, rel_tol):
+    """The verdict's witness, asserted to be exactly negative and, when it is
+    a canonical candidate, the first canonical candidate that is."""
+    gen = expand(spec)
+    verdict = classify(spec, rel_tol=rel_tol)
+    assert verdict.status == Status.NOT_PSD, spec
+    exact = eval_exact(gen, verdict.witness.x)
+    assert exact < 0, spec
+    assert verdict.witness_value == polyeval.rounded(exact), spec
+    tol = classifier_mod._effective_tol(spec.seed, rel_tol)
+    case = classifier_mod._dispatch(spec.m, spec.n, spec.r)
+    for candidate in classifier_mod._witness_candidates(case, gen, tol):
+        if candidate == verdict.witness:
+            break
+        assert eval_exact(gen, candidate.x) >= 0, (spec, candidate)
+    return verdict
+
+
+def _past_float64_error(spec, exc):
+    """Assert ``exc`` is the input error of an alpha past float64, and that f
+    is negative at the alpha it names."""
+    match = re.fullmatch(r".* f along (alpha(?:-neg)?)\(q=(\d+)\) .* is at alpha = 2\*\*(\d+)",
+                         str(exc))
+    assert match, exc
+    family, q, e = match[1], int(match[2]), int(match[3])
+    assert e > 1023
+    x = alpha_witnesses(spec.n, family, 2**e)[q - 1].x
+    assert eval_exact(expand(spec), x) < 0, spec
+
+
+class TestFirstNegativeCandidate:
+    """A covered NotPSD's witness is the first canonical candidate where f is
+    exactly negative, else the first alpha-family member past the ladder."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_exact_seeds_off_the_rule(self, data):
+        # ints past float64 are refused as seed entries, so the int draws
+        # stop at 10**300; Fractions go to one part in 10**400
+        m, n, r = data.draw(st.sampled_from(OFF_RULE_SHAPES), label="shape")
+        if data.draw(st.booleans(), label="int"):
+            k = data.draw(st.integers(1, 300), label="k")
+            a = data.draw(st.integers(1, 9), label="a") * 10**k
+            b, gap = data.draw(st.integers(-a, a), label="b"), 1
+        else:
+            k = data.draw(st.integers(1, 400), label="k")
+            a = Fraction(data.draw(st.integers(1, 50)), data.draw(st.integers(1, 9)))
+            b = a * Fraction(data.draw(st.integers(-100, 100), label="b"), 100)
+            gap = a / 10**k
+        spec = CirculantSpec(m, n, r, _off_rule_seed(data, r, a, b, gap))
+        try:
+            _first_exactly_negative(spec, REL_TOL_DEFAULT)
+        except ValueError as exc:
+            # at m = 2, f along an alpha family is quadratic: the alpha it
+            # needs grows as 1/gap, past float64 from about k = 308
+            assert m == 2, (spec, exc)
+            _past_float64_error(spec, exc)
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_float_seeds_at_zero_tolerance(self, data):
+        m, n, r = data.draw(st.sampled_from(OFF_RULE_SHAPES), label="shape")
+        a = data.draw(st.floats(0.5, 2.0), label="a")
+        if r > 1 and data.draw(st.booleans(), label="tiny"):
+            # a zero odd entry moved by any float, subnormals included
+            b, gap = 0.0, data.draw(st.floats(5e-324, 1.0), label="gap")
+        else:
+            b = a * data.draw(st.floats(-1.0, 1.0), label="u")
+            gap = a * 2.0 ** -data.draw(st.integers(1, 60), label="j")
+        spec = CirculantSpec(m, n, r, _off_rule_seed(data, r, a, b, gap))
+        if classifier_mod._psd_conditions(spec.seed, 0):
+            return  # the gap rounded away
+        try:
+            _first_exactly_negative(spec, 0)
+        except ValueError as exc:
+            assert m == 2, (spec, exc)
+            _past_float64_error(spec, exc)
+
+    @pytest.mark.parametrize("seed, rel_tol, family, e", [
+        ((10**40, 0, 10**40, 1), REL_TOL_DEFAULT, "alpha", 43),
+        ((1.0, 0.0, 1.0, 1e-300), 0, "alpha", 331),
+        ((1, 0, 1, Fraction(-1, 10**400)), REL_TOL_DEFAULT, "alpha-neg", 442),
+    ])
+    def test_quartic_seeds_past_the_ladder(self, monkeypatch, seed, rel_tol, family, e):
+        # no canonical candidate is negative; the witness is the first power
+        # of two past the ladder at which f along family(q=1) is
+        monkeypatch.setattr(oracle_mod, "sphere_min", None)
+        spec = CirculantSpec(4, 4, 4, seed)
+        verdict = _first_exactly_negative(spec, rel_tol)
+        assert verdict.witness == alpha_witnesses(4, family, 2.0**e)[0]
+        assert eval_exact(expand(spec), alpha_witnesses(4, family, 2.0**(e - 1))[0].x) >= 0
+        assert verdict.notes == ()
+
+    def test_a_value_that_underflows_to_negative_zero_is_negative(self):
+        # the spec of test_alpha_witness_of_an_exact_spec_is_evaluated_at_the_period
+        # scaled by 10**-400: f at the float alpha witness rounds to -0.0
+        scale = Fraction(1, 10**400)
+        seed = tuple(scale * t for t in (44, Fraction(759, 25), 44, 33))
+        verdict = _first_exactly_negative(CirculantSpec(4, 20, 4, seed), REL_TOL_DEFAULT)
+        assert verdict.witness.label == "alpha(q=1, alpha=2.0)"
+        assert verdict.witness_value == 0.0
+        assert math.copysign(1.0, verdict.witness_value) == -1.0
+
+    def test_alpha_past_float64_is_an_input_error(self):
+        spec = CirculantSpec(4, 4, 4, (1, 0, 1, Fraction(-1, 10**1200)))
+        with pytest.raises(ValueError, match=r"alpha = 2\*\*2048$") as info:
+            classify(spec)
+        _past_float64_error(spec, info.value)
 
 
 class TestWitnessPastFloat64:

@@ -16,7 +16,7 @@ from anticirculant import cli
 from anticirculant.cli import main, parse_int_list, parse_number_list
 from anticirculant import polyeval
 from anticirculant.polyeval import eval_exact
-from anticirculant.tensor import GeneratingVector
+from anticirculant.tensor import CirculantSpec, GeneratingVector, expand
 
 
 def _no_constant(name):
@@ -229,18 +229,32 @@ class TestClassifyCommand:
         assert "odd order" in capsys.readouterr().err
 
     def test_matrix_case_witness_below_the_families(self, tmp_path, capsys):
-        # even-gcd-2 at m = 2: the seed misses the rule by about 2e-12, which no
-        # witness family or sphere start resolves; the Hankel eigenvector does
+        # even-gcd-2 at m = 2: the seed misses the rule by about 2e-12, which
+        # no canonical candidate up to alpha = 2**30 exposes; f along
+        # alpha(q=2) has a negative leading coefficient, and is negative at
+        # alpha = 2**38
         seed = [0.6372000159352453, -0.03720001593424534,
                 0.6372000159352453, -0.03720001593224533]
         doc = write_doc(tmp_path, "m2.json", {"m": 2, "n": 5, "r": 4, "seed": seed})
         assert main(["classify", doc, "--verify", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "NotPSD"
-        assert payload["witness_label"] == "hankel-eigenvector"
-        assert -1e-11 < payload["witness_value"] < 0
+        assert payload["witness_label"] == f"alpha(q=2, alpha={2.0**38})"
+        gen = expand(CirculantSpec(2, 5, 4, tuple(seed)))
+        exact = eval_exact(gen, tuple(payload["witness"]))
+        assert exact < 0 and payload["witness_value"] == float(exact)
         assert payload["notes"] == []
         assert payload["verified"] is True
+
+    def test_alpha_past_float64_is_an_input_error(self, tmp_path, capsys):
+        # at m = 2 the alpha that exposes a 5e-324 gap is past float64: an
+        # input error naming it, never an internal error
+        doc = write_doc(tmp_path, "sub.json", {"m": 2, "n": 5, "r": 4,
+                                               "seed": [1.0, 0.0, 1.0, 5e-324], "tolerance": 0})
+        assert main(["classify", doc, "--verify", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(r"f along alpha\(q=2\) .* is at alpha = 2\*\*2048$", captured.err)
 
     def test_overflowing_witness_is_clamped_and_noted(self, tmp_path, capsys):
         # every float64 value of this seed's witnesses is inf or NaN; their
@@ -312,6 +326,25 @@ class TestNumpyLoadsOnDemand:
         assert [code for code, _, _ in cold] == [0, 1, 0, 1]
         assert all(json.loads(out)["verified"] is True for _, out, _ in cold)
         assert [loaded for _, _, loaded in cold] == [[]] * 4
+
+    def test_near_rule_not_psd_skips_numpy(self, tmp_path):
+        # witnesses past the alpha ladder, found by exact signs alone: the
+        # m = 2 seed off the rule by 2e-12, an integer seed off it by 1 in
+        # 10**40, and a float one by 1e-300 at zero tolerance
+        docs = [write_doc(tmp_path, f"near{i}.json", doc) for i, doc in enumerate((
+            {"m": 2, "n": 5, "r": 4, "seed": [0.6372000159352453, -0.03720001593424534,
+                                              0.6372000159352453, -0.03720001593224533]},
+            {"m": 4, "n": 4, "r": 4, "seed": [10**40, 0, 10**40, 1]},
+            {"m": 4, "n": 4, "r": 4, "seed": [1.0, 0.0, 1.0, 1e-300], "tolerance": 0},
+        ))]
+        argvs = [["classify", doc, "--verify", "--json"] for doc in docs]
+        cold = json.loads(_cold(_COLD_CLI, json.dumps(argvs)))
+        assert [code for code, _, _ in cold] == [1, 1, 1]
+        labels = [json.loads(out)["witness_label"] for _, out, _ in cold]
+        assert labels == [f"alpha(q=2, alpha={2.0**38})", f"alpha(q=1, alpha={2.0**43})",
+                          f"alpha(q=1, alpha={2.0**331})"]
+        assert all(json.loads(out)["verified"] is True for _, out, _ in cold)
+        assert [loaded for _, _, loaded in cold] == [[]] * 3
 
     def test_oracle_names_resolve_on_the_package_root(self):
         from anticirculant import oracle
