@@ -49,7 +49,6 @@ from .tensor import (
     _Record,
     alpha_witnesses,
     differences,
-    distinct,
     expand,
     pattern_witnesses,
     window,
@@ -175,9 +174,9 @@ def _scale(values) -> float:
 def _effective_tol(values, rel_tol: float):
     """Absolute comparison slack: zero in exact mode, relative otherwise.
 
-    For a generating vector pass ``distinct(window(gen))``: the window
-    holds every object of v, and for an expanded seed it is r objects
-    instead of L entries.
+    For a generating vector pass ``window(gen)``: the window holds every
+    object of v, and for an expanded seed it is at most 2r entries instead
+    of L.
     """
     if all(isinstance(t, (int, Fraction)) for t in values):
         return 0
@@ -306,18 +305,12 @@ def strong_hankel_check(
     alpha, beta = cert.v0 * cert.t, cert.v0 * (1.0 - cert.t)
     even, odd = alpha + beta, alpha - beta
     win = window(gen)
-    evens, odds, entries = win[0::2], win[1::2], distinct(win)
-    if any(type(t) is Fraction for t in entries):
-        # float() of a Fraction divides in Python, and v may repeat its
-        # objects: visit each once per parity.  For floats and ints the
-        # deduplicating dicts cost more than the float() calls they save.
-        evens, odds = distinct(evens), distinct(odds)
-    residual = max(max(abs(float(t) - even) for t in evens),
-                   max(abs(float(t) - odd) for t in odds))
-    scale = _scale(entries)
+    residual = max(max(abs(float(t) - even) for t in win[0::2]),
+                   max(abs(float(t) - odd) for t in win[1::2]))
+    scale = _scale(win)
     # at a subnormal scale ulp(1.0) * scale underflows, while alpha = v0 * t
     # still rounds to the subnormal grid: one ulp of scale is the floor
-    slack = (2 * _effective_tol(entries, rel_tol)
+    slack = (2 * _effective_tol(win, rel_tol)
              + CERTIFICATE_ULPS * max(math.ulp(1.0) * scale, math.ulp(scale)))
     size = (len(gen.v) + 1) // 2
     return StrongHankelResult(
@@ -521,7 +514,7 @@ def classify(
         tol = _effective_tol(subject.seed, rel_tol)
         case = _dispatch(subject.m, subject.n, subject.r)
     else:
-        gen, tol, case = subject, _effective_tol(distinct(window(subject)), rel_tol), None
+        gen, tol, case = subject, _effective_tol(window(subject), rel_tol), None
 
     notes: tuple[str, ...] = ()
     if case == Case.EVEN_GCD_2 and subject.r > subject.n:

@@ -252,7 +252,10 @@ def _classify_document(args):
 
 def _gen_of(subject) -> tensor.GeneratingVector:
     if isinstance(subject, tensor.CirculantSpec):
-        return tensor.expand(subject)
+        try:
+            return tensor.expand(subject)
+        except ValueError as exc:
+            raise CliInputError(str(exc)) from None
     return subject
 
 

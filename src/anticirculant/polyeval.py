@@ -117,9 +117,7 @@ def _packed_power(folded: list, m: int, b: int) -> list:
         base = (base << b) + t
     power, modulus = base, (1 << w) - 1
     for bit in bin(m)[3:]:
-        power *= power
-        while power >> w:  # a square is not negative: _fold inline
-            power = (power & modulus) + (power >> w)
+        power = _fold(power * power, w)
         if bit == "1":
             power = _fold(power * base, w)
     if power > modulus >> 1:

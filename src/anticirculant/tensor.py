@@ -42,20 +42,10 @@ NAMED_PATTERNS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def distinct(values):
-    """Each object of ``values`` once, in order of first appearance.
-
-    A max or an all() over them is the max or all() over ``values``.  The
-    window of an expanded seed (``window``) repeats the seed's r objects
-    over at most 2r entries, so a scan of its distinct objects visits r.
-    """
-    return dict(zip(map(id, values), values)).values()
-
-
 def _require_finite(values, what: str) -> None:
     # floats can carry NaN or inf; an int or Fraction is finite but must still
     # fit in float64, since the numerical layers and the certificate use floats.
-    for t in distinct(values):
+    for t in values:
         try:
             finite = math.isfinite(t)
         except OverflowError:
@@ -145,7 +135,7 @@ class GeneratingVector(_Record):
         _require_finite(v, "generating vector")
 
     def max_abs(self) -> float:
-        return max(abs(float(t)) for t in distinct(window(self)))
+        return max(abs(float(t)) for t in window(self))
 
 
 class CirculantSpec(_Record):
@@ -189,12 +179,19 @@ def expand(spec: CirculantSpec) -> GeneratingVector:
     Examples: (m=4, n=3, r=1, seed=(2,)) gives nine 2s; (m=4, n=3, r=3,
     seed=(1,2,3)) gives (1,2,3,1,2,3,1,2,3).  ``CirculantSpec`` validated m,
     n, r and every seed object, and v holds only those objects, so v is not
-    checked again.  The vector keeps r, off its fields, for ``window``.
+    checked again.  The vector keeps r, off its fields, for ``window``.  An
+    L past what a tuple can hold is a ``ValueError``: CPython refuses such
+    a repetition before it allocates.
     """
     length = genvec_length(spec.m, spec.n)
+    try:
+        v = (spec.seed * -(-length // spec.r))[:length]
+    except (OverflowError, MemoryError):
+        raise ValueError(
+            f"generating vector of L = (n-1)*m+1 = {length} entries is too long to build"
+        ) from None
     gen = GeneratingVector.__new__(GeneratingVector)
-    gen.__dict__.update(m=spec.m, n=spec.n, v=(spec.seed * -(-length // spec.r))[:length],
-                        _seed_r=spec.r)
+    gen.__dict__.update(m=spec.m, n=spec.n, v=v, _seed_r=spec.r)
     return gen
 
 

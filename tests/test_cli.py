@@ -472,6 +472,17 @@ def test_overflowing_min_value_is_exact(tmp_path):
 
 
 class TestDocumentErrors:
+    @pytest.mark.parametrize("m", [10**30, 10**18])
+    @pytest.mark.parametrize("argv", [["classify"], ["classify", "--verify", "--json"],
+                                      ["eval", "1,2,3"], ["oracle"], ["hankelmatrix"]])
+    def test_vector_past_a_tuple_is_an_input_error(self, tmp_path, capsys, m, argv):
+        doc = write_doc(tmp_path, "huge.json", {"m": m, "n": 3, "r": 2, "seed": [1, 0.5]})
+        assert main([argv[0], doc, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: generating vector of L = (n-1)*m+1 = {2 * m + 1} "
+                                "entries is too long to build\n")
+
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/never.json"]) == 2
         assert "cannot read" in capsys.readouterr().err

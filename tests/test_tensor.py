@@ -95,6 +95,13 @@ class TestCirculantSpec:
         with pytest.raises(ValueError, match="too large for float64"):
             CirculantSpec(4, 4, 2, (10**400, 1))
 
+    @pytest.mark.parametrize("m", [10**30, 10**18])
+    def test_expand_past_a_tuple_is_a_value_error(self, m):
+        # CPython refuses the repetition before it allocates: OverflowError
+        # past an index-sized int, MemoryError past the largest tuple
+        with pytest.raises(ValueError, match=rf"L = \(n-1\)\*m\+1 = {2 * m + 1} entries"):
+            expand(CirculantSpec(m, 3, 2, (1, 0.5)))
+
     @given(
         m=st.integers(2, 8),
         n=st.integers(2, 6),
