@@ -21,11 +21,11 @@ claim is made, and a clearly non-certified numerical minimum estimate is
 attached as evidence.  A NotPSD verdict's witness is the first candidate, in
 a fixed canonical order, at which f is exactly negative; in a proved case
 some point is, and if no candidate up to the alpha ladder's top is, the
-case's alpha families go on past it (``_past_the_ladder``).  A PSD verdict
-carries the power-sum certificate and the strong-Hankel one it implies (the
-associated Hankel matrix is then alpha*11^T + beta*aa^T), both checked by
-``strong_hankel_check`` on at most 2r entries of v, the window that holds
-every (seed entry, parity of s) pair (``tensor.window``).
+case's alpha families go on past it at int 2**k (``_past_the_ladder``).  A
+PSD verdict carries the power-sum certificate and the strong-Hankel one it
+implies (the associated Hankel matrix is then alpha*11^T + beta*aa^T), both
+checked by ``strong_hankel_check`` on at most 2r entries of v, the window
+that holds every (seed entry, parity of s) pair (``tensor.window``).
 
 Only even orders are classifiable: for odd m the zero tensor is the only
 positive semidefinite Hankel tensor, so odd orders are rejected.
@@ -159,7 +159,9 @@ class Verdict(_Record):
             "tolerance": self.tolerance,
             "certificate": self.certificate.to_dict() if self.certificate else None,
             "strong_hankel": self.strong_hankel.to_dict() if self.strong_hankel else None,
-            "witness": list(float(t) for t in self.witness.x) if self.witness else None,
+            # an int coordinate past float64 (alpha = 2**k) stays an exact int
+            "witness": [f if (f := rounded(t)) == t else t for t in self.witness.x]
+            if self.witness else None,
             "witness_label": self.witness.label if self.witness else None,
             "witness_value": self.witness_value,
             "evidence": self.evidence.to_dict() if self.evidence else None,
@@ -324,7 +326,7 @@ def strong_hankel_check(
 
 #: Escalation schedule for alpha-family witnesses: a strictly negative
 #: leading coefficient of f along a family eventually dominates, and
-#: ``_past_the_ladder`` goes on past the top for the first one that has it.
+#: ``_past_the_ladder`` goes on past the top at int 2**k for the first one that has it.
 ALPHA_LADDER = tuple(float(2 ** k) for k in range(0, 31))
 #: Each case's own families, tried before the generic tail in this order:
 #: differences of these steps, these sign patterns, then these alpha families
@@ -390,40 +392,34 @@ def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
 def _past_the_ladder(case: Case, gen: GeneratingVector):
     """``(witness, exact value)`` past ``ALPHA_LADDER``, or None.
 
-    Along alpha(q) f is a polynomial in alpha of degree at most m, negative
-    for all large alpha iff its highest nonzero forward difference over
-    alpha = 0..m is.  For the first (family, q) where it is, alpha doubles
-    from 2**31 until f is negative; past float64 that is an input error.
+    Along alpha(q) f is a polynomial g of degree p <= m in alpha, negative
+    for all large alpha iff (Delta^p g)(0), its top forward difference over
+    alpha = 0..m, is.  For the first (family, q) where it is, the Newton form
+    sum_j (Delta^j g)(0) * C(2**k, j) gives the first int k >= 31 with g(2**k) < 0.
     """
     n, m = gen.n, gen.m
     for family in _CASE_FAMILIES.get(case, _NO_FAMILIES)[2]:
         members = [alpha_witnesses(n, family, alpha) for alpha in range(m + 1)]
         for q in range(n):
-            g, top = [eval_exact(gen, rung[q].x) for rung in members], 0
-            while g:
-                top, g = g[0] or top, [b - a for a, b in zip(g, g[1:])]
-            if top >= 0:
+            g, newton = [eval_exact(gen, rung[q].x) for rung in members], []
+            while any(g):
+                newton, g = newton + [g[0]], [b - a for a, b in zip(g, g[1:])]
+            if not newton or newton[-1] > 0:
                 continue
-            alpha = 2.0 * ALPHA_LADDER[-1]
-            while alpha <= sys.float_info.max:
-                candidate = alpha_witnesses(n, family, alpha)[q]
-                value = eval_exact(gen, candidate.x)  # off the point memo
-                if value < 0:
-                    return candidate, value
-                alpha *= 2
-            e = 1024  # f < 0 for all large alpha: doubling e gets there
-            while eval_exact(gen, alpha_witnesses(n, family, 2**e)[q].x) >= 0:
-                e *= 2
-            raise ValueError(f"the seed misses the rule by too little for a float64 witness: "
-                             f"f along {family}(q={q + 1}) is not negative at any alpha = 2**k "
-                             f"up to 2**1023, and is at alpha = 2**{e}")
+            den = math.lcm(*(d.denominator for d in newton))
+            newton = [int(d * den) for d in newton]
+            k = len(ALPHA_LADDER)  # the ladder's rungs are 2**0 .. 2**30
+            while sum(d * math.comb(2**k, j) for j, d in enumerate(newton)) >= 0:
+                k += 1
+            candidate = alpha_witnesses(n, family, 2**k)[q]
+            return candidate, eval_exact(gen, candidate.x)
     return None
 
 
 def _find_witness(case, gen, tol):
     """``(witness, f(witness))``, f(witness) exact or rounded once: the first
     canonical candidate at which f is negative, else the first alpha family
-    member past the ladder."""
+    member past the ladder, with f(witness) exact."""
     for candidate in _witness_candidates(case, gen, tol):
         value = eval_fast(gen, candidate.x)
         # rounding keeps the sign: a negative f(x) that underflows is -0.0

@@ -274,18 +274,21 @@ def alpha_witnesses(n: int, family: str, alpha) -> list[WitnessVector]:
     ``s = +1`` for family ``"alpha"`` and ``-1`` for ``"alpha-neg"``.
     Positions wrap cyclically (``e_0`` is ``e_n``); ``n >= 3`` keeps the
     three positions distinct.  Every coordinate has alpha's type: the zeros
-    are ``0 * alpha`` and the centre is ``s + 0 * alpha``.
+    are ``0 * alpha`` and the centre is ``s + 0 * alpha``.  An int power of
+    two is labelled ``2**k``, not by its digits.
     """
     if family not in ("alpha", "alpha-neg"):
         raise ValueError(f"unknown alpha family {family!r}")
     if n < 3:
         raise ValueError(f"alpha witness family needs n >= 3, got n={n}")
     sign = 1 if family == "alpha" else -1
+    power = type(alpha) is int and alpha > 0 and alpha.bit_count() == 1
+    shown = f"2**{alpha.bit_length() - 1}" if power else alpha
     out = []
     for q in range(n):
         x = [0 * alpha] * n
         x[q - 1], x[q], x[(q + 1) % n] = alpha, sign + 0 * alpha, -alpha
-        out.append(WitnessVector(x, f"{family}(q={q + 1}, alpha={alpha})"))
+        out.append(WitnessVector(x, f"{family}(q={q + 1}, alpha={shown})"))
     return out
 
 

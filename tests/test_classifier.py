@@ -4,9 +4,9 @@ import hashlib
 import json
 import math
 import random
-import re
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -376,18 +376,6 @@ def _first_exactly_negative(spec, rel_tol):
     return verdict
 
 
-def _past_float64_error(spec, exc):
-    """Assert ``exc`` is the input error of an alpha past float64, and that f
-    is negative at the alpha it names."""
-    match = re.fullmatch(r".* f along (alpha(?:-neg)?)\(q=(\d+)\) .* is at alpha = 2\*\*(\d+)",
-                         str(exc))
-    assert match, exc
-    family, q, e = match[1], int(match[2]), int(match[3])
-    assert e > 1023
-    x = alpha_witnesses(spec.n, family, 2**e)[q - 1].x
-    assert eval_exact(expand(spec), x) < 0, spec
-
-
 class TestFirstNegativeCandidate:
     """A covered NotPSD's witness is the first canonical candidate where f is
     exactly negative, else the first alpha-family member past the ladder."""
@@ -407,14 +395,10 @@ class TestFirstNegativeCandidate:
             a = Fraction(data.draw(st.integers(1, 50)), data.draw(st.integers(1, 9)))
             b = a * Fraction(data.draw(st.integers(-100, 100), label="b"), 100)
             gap = a / 10**k
-        spec = CirculantSpec(m, n, r, _off_rule_seed(data, r, a, b, gap))
-        try:
-            _first_exactly_negative(spec, REL_TOL_DEFAULT)
-        except ValueError as exc:
-            # at m = 2, f along an alpha family is quadratic: the alpha it
-            # needs grows as 1/gap, past float64 from about k = 308
-            assert m == 2, (spec, exc)
-            _past_float64_error(spec, exc)
+        # at m = 2 the alpha a witness needs grows as 1/gap, past float64
+        # from about k = 308: it is an int power of two
+        _first_exactly_negative(CirculantSpec(m, n, r, _off_rule_seed(data, r, a, b, gap)),
+                                REL_TOL_DEFAULT)
 
     @settings(deadline=None, max_examples=150)
     @given(data=st.data())
@@ -430,11 +414,7 @@ class TestFirstNegativeCandidate:
         spec = CirculantSpec(m, n, r, _off_rule_seed(data, r, a, b, gap))
         if classifier_mod._psd_conditions(spec.seed, 0):
             return  # the gap rounded away
-        try:
-            _first_exactly_negative(spec, 0)
-        except ValueError as exc:
-            assert m == 2, (spec, exc)
-            _past_float64_error(spec, exc)
+        _first_exactly_negative(spec, 0)
 
     @pytest.mark.parametrize("seed, rel_tol, family, e", [
         ((10**40, 0, 10**40, 1), REL_TOL_DEFAULT, "alpha", 43),
@@ -447,8 +427,9 @@ class TestFirstNegativeCandidate:
         monkeypatch.setattr(oracle_mod, "sphere_min", None)
         spec = CirculantSpec(4, 4, 4, seed)
         verdict = _first_exactly_negative(spec, rel_tol)
-        assert verdict.witness == alpha_witnesses(4, family, 2.0**e)[0]
-        assert eval_exact(expand(spec), alpha_witnesses(4, family, 2.0**(e - 1))[0].x) >= 0
+        assert verdict.witness == alpha_witnesses(4, family, 2**e)[0]
+        assert verdict.witness.label == f"{family}(q=1, alpha=2**{e})"
+        assert eval_exact(expand(spec), alpha_witnesses(4, family, 2**(e - 1))[0].x) >= 0
         assert verdict.notes == ()
 
     def test_a_value_that_underflows_to_negative_zero_is_negative(self):
@@ -461,11 +442,26 @@ class TestFirstNegativeCandidate:
         assert verdict.witness_value == 0.0
         assert math.copysign(1.0, verdict.witness_value) == -1.0
 
-    def test_alpha_past_float64_is_an_input_error(self):
+    def test_alpha_past_float64_is_an_int_power_of_two(self):
         spec = CirculantSpec(4, 4, 4, (1, 0, 1, Fraction(-1, 10**1200)))
-        with pytest.raises(ValueError, match=r"alpha = 2\*\*2048$") as info:
-            classify(spec)
-        _past_float64_error(spec, info.value)
+        verdict = _first_exactly_negative(spec, REL_TOL_DEFAULT)
+        assert verdict.witness.label == "alpha-neg(q=1, alpha=2**1328)"
+        assert verdict.witness.x == (-1, -(2**1328), 0, 2**1328)
+        assert verdict.witness_value == -2.2182717124778883
+        assert verdict.notes == ()
+
+    def test_alpha_past_4300_digits(self):
+        # alpha = 2**14616 has 4400 digits, past CPython's int-to-str limit:
+        # the label names the power and to_dict keeps the exact ints
+        spec = CirculantSpec(2, 5, 4, (1, 0, 1, Fraction(1, 10**4400)))
+        start = time.perf_counter()
+        verdict = _first_exactly_negative(spec, REL_TOL_DEFAULT)
+        assert time.perf_counter() - start < 30
+        assert verdict.witness.label == "alpha(q=2, alpha=2**14616)"
+        witness = verdict.to_dict()["witness"]
+        assert witness == [2**14616, 1.0, -(2**14616), 0.0, 0.0]
+        assert [type(t) for t in witness] == [int, float, int, float, float]
+        assert verdict.notes == ()
 
 
 class TestWitnessPastFloat64:

@@ -239,22 +239,29 @@ class TestClassifyCommand:
         assert main(["classify", doc, "--verify", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "NotPSD"
-        assert payload["witness_label"] == f"alpha(q=2, alpha={2.0**38})"
+        assert payload["witness_label"] == "alpha(q=2, alpha=2**38)"
         gen = expand(CirculantSpec(2, 5, 4, tuple(seed)))
         exact = eval_exact(gen, tuple(payload["witness"]))
         assert exact < 0 and payload["witness_value"] == float(exact)
         assert payload["notes"] == []
         assert payload["verified"] is True
 
-    def test_alpha_past_float64_is_an_input_error(self, tmp_path, capsys):
-        # at m = 2 the alpha that exposes a 5e-324 gap is past float64: an
-        # input error naming it, never an internal error
-        doc = write_doc(tmp_path, "sub.json", {"m": 2, "n": 5, "r": 4,
-                                               "seed": [1.0, 0.0, 1.0, 5e-324], "tolerance": 0})
-        assert main(["classify", doc, "--verify", "--json"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.search(r"f along alpha\(q=2\) .* is at alpha = 2\*\*2048$", captured.err)
+    def test_alpha_past_float64_is_an_exact_int(self, tmp_path, capsys):
+        # at m = 2 the alpha that exposes a 5e-324 gap is past float64: the
+        # witness holds it as an exact JSON int, and the re-check reads it
+        seed = [1.0, 0.0, 1.0, 5e-324]
+        doc = write_doc(tmp_path, "sub.json", {"m": 2, "n": 5, "r": 4, "seed": seed,
+                                               "tolerance": 0})
+        assert main(["classify", doc, "--verify", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["verified"]) == ("NotPSD", True)
+        assert payload["witness_label"] == "alpha(q=2, alpha=2**1074)"
+        assert payload["witness"] == [2**1074, 1.0, -(2**1074), 0.0, 0.0]
+        assert type(payload["witness"][0]) is int
+        exact = eval_exact(expand(CirculantSpec(2, 5, 4, tuple(seed))), tuple(payload["witness"]))
+        assert exact < 0 and payload["witness_value"] == float(exact)
+        assert main(["classify", doc]) == 1
+        assert f"witness: {2**1074}, 1, {-(2**1074)}, 0, 0\n" in capsys.readouterr().out
 
     def test_overflowing_witness_is_clamped_and_noted(self, tmp_path, capsys):
         # every float64 value of this seed's witnesses is inf or NaN; their
@@ -341,8 +348,8 @@ class TestNumpyLoadsOnDemand:
         cold = json.loads(_cold(_COLD_CLI, json.dumps(argvs)))
         assert [code for code, _, _ in cold] == [1, 1, 1]
         labels = [json.loads(out)["witness_label"] for _, out, _ in cold]
-        assert labels == [f"alpha(q=2, alpha={2.0**38})", f"alpha(q=1, alpha={2.0**43})",
-                          f"alpha(q=1, alpha={2.0**331})"]
+        assert labels == ["alpha(q=2, alpha=2**38)", "alpha(q=1, alpha=2**43)",
+                          "alpha(q=1, alpha=2**331)"]
         assert all(json.loads(out)["verified"] is True for _, out, _ in cold)
         assert [loaded for _, _, loaded in cold] == [[]] * 3
 

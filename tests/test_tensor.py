@@ -268,6 +268,14 @@ class TestWitnesses:
             assert x == (sign, -alpha, 0, alpha)
             assert [type(t) for t in x] == [type(alpha)] * 4
 
+    def test_int_power_of_two_alpha_is_labelled_by_its_exponent(self):
+        # str() refuses an int past 4300 digits; 2**k never prints its digits
+        assert alpha_witnesses(3, "alpha", 2**20000)[0].label == "alpha(q=1, alpha=2**20000)"
+        assert alpha_witnesses(3, "alpha", 1)[0].label == "alpha(q=1, alpha=2**0)"
+        assert [alpha_witnesses(3, "alpha", a)[0].label for a in (3, 0, -4, 4.0)] == [
+            "alpha(q=1, alpha=3)", "alpha(q=1, alpha=0)", "alpha(q=1, alpha=-4)",
+            "alpha(q=1, alpha=4.0)"]
+
     def test_alpha_needs_value_and_room(self):
         with pytest.raises(ValueError, match="n >= 3"):
             alpha_witnesses(2, "alpha", 2.0)
