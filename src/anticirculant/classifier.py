@@ -25,7 +25,8 @@ case's alpha families go on past it at int 2**k (``_past_the_ladder``).  A
 PSD verdict carries the power-sum certificate and the strong-Hankel one it
 implies (the associated Hankel matrix is then alpha*11^T + beta*aa^T), both
 checked by ``strong_hankel_check`` on at most 2r entries of v, the window
-that holds every (seed entry, parity of s) pair (``tensor.window``).
+that holds every (seed entry, parity of s) pair (``tensor.window``).  A
+spec is classified from its seed: no verdict builds v.
 
 Only even orders are classifiable: for odd m the zero tensor is the only
 positive semidefinite Hankel tensor, so odd orders are rejected.
@@ -49,12 +50,12 @@ from .tensor import (
     _Record,
     alpha_witnesses,
     differences,
-    expand,
+    genvec_length,
     pattern_witnesses,
     window,
 )
-# hankel_matrix is not called here; bench/spans.py traces it under this name.
-from .tensor import hankel_matrix  # noqa: F401
+# not called here; bench/spans.py traces expand and hankel_matrix under these names.
+from .tensor import expand, hankel_matrix  # noqa: F401
 
 if TYPE_CHECKING:
     from .oracle import SphereMinResult
@@ -176,9 +177,8 @@ def _scale(values) -> float:
 def _effective_tol(values, rel_tol: float):
     """Absolute comparison slack: zero in exact mode, relative otherwise.
 
-    For a generating vector pass ``window(gen)``: the window holds every
-    object of v, and for an expanded seed it is at most 2r entries instead
-    of L.
+    For a spec or a generating vector pass ``window(gen)``: the window holds
+    every object of v, and for a spec it is at most 2r entries instead of L.
     """
     if all(isinstance(t, (int, Fraction)) for t in values):
         return 0
@@ -217,14 +217,13 @@ def _psd_conditions(seed, tol) -> bool:
     )
 
 
-def power_sum_certificate(gen: GeneratingVector, tol) -> Certificate:
+def power_sum_certificate(gen: CirculantSpec | GeneratingVector, tol) -> Certificate:
     """Two-term certificate: t from v1 = v0*(2t - 1), degenerating to t = 1.
 
     Requires |v1| <= v0 (up to the comparison slack); the reported t is
     clamped into [0, 1] only after that inequality has been confirmed.
     """
-    v0 = float(gen.v[0])
-    v1 = float(gen.v[1])
+    v0, v1 = map(float, window(gen)[:2])
     if v0 == 0.0:
         return Certificate(kind=CertificateKind.POWER_SUM, v0=0.0, t=1.0)
     if v0 - abs(v1) < -tol:
@@ -243,7 +242,7 @@ def power_sum_value(cert: Certificate, m: int, x):
 
 
 def verify_power_sum(
-    gen: GeneratingVector,
+    gen: CirculantSpec | GeneratingVector,
     cert: Certificate,
     points: int = 1000,
     rng_seed: int = 0,
@@ -285,7 +284,7 @@ def _gram_floor(alpha: float, beta: float, size: int) -> float:
 
 
 def strong_hankel_check(
-    gen: GeneratingVector, cert: Certificate, rel_tol: float = REL_TOL_DEFAULT
+    gen: CirculantSpec | GeneratingVector, cert: Certificate, rel_tol: float = REL_TOL_DEFAULT
 ) -> StrongHankelResult:
     """Check the power-sum certificate (v0, t) as an identity on ``v``.
 
@@ -298,11 +297,12 @@ def strong_hankel_check(
     slack: for even r the rule chains two comparisons (odd seed with v1,
     |v1| with v0), so an accepted seed can miss by both.
 
-    Residual, scale and slack come from ``window(gen)``, all of v unless
-    ``expand`` built it, then its first min(L, 2r) entries: the identity
-    depends only on an entry's object and the parity of s, and the window
-    holds every such pair of v.  Max and all() ignore order, so each is the
-    same float as over all L entries.
+    Residual, scale and slack come from ``window(gen)``: all of v for a
+    generating vector, and the first min(L, 2r) entries of v for a spec,
+    which is never expanded.  The identity depends only on an entry's
+    object and the parity of s, and the window holds every such pair of v.
+    Max and all() ignore order, so each is the same float as over all L
+    entries.
     """
     alpha, beta = cert.v0 * cert.t, cert.v0 * (1.0 - cert.t)
     even, odd = alpha + beta, alpha - beta
@@ -314,7 +314,7 @@ def strong_hankel_check(
     # still rounds to the subnormal grid: one ulp of scale is the floor
     slack = (2 * _effective_tol(win, rel_tol)
              + CERTIFICATE_ULPS * max(math.ulp(1.0) * scale, math.ulp(scale)))
-    size = (len(gen.v) + 1) // 2
+    size = (genvec_length(gen.m, gen.n) + 1) // 2
     return StrongHankelResult(
         passed=alpha >= -slack and beta >= -slack and residual <= slack,
         min_eigenvalue=_gram_floor(alpha, beta, size) - size * residual,
@@ -343,9 +343,11 @@ _CASE_FAMILIES = {
 _NO_FAMILIES = ((), (), ())
 
 
-def _necessary_witnesses(gen: GeneratingVector, tol):
+def _necessary_witnesses(gen: CirculantSpec | GeneratingVector, tol):
+    """Unit vectors e_{j+1} refuting f: f(e_{j+1}) is v[j*m]."""
+    win = window(gen)
     for j in range(gen.n):
-        if gen.v[j * gen.m] < -tol:
+        if win[j * gen.m % len(win)] < -tol:
             x = tuple(1 if i == j else 0 for i in range(gen.n))
             yield WitnessVector(x, f"unit(e_{j + 1})")
 
@@ -377,7 +379,7 @@ def _generic_tail(n: int) -> tuple[WitnessVector, ...]:
     return tuple(out + pattern_witnesses(n, NAMED_PATTERNS))
 
 
-def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
+def _witness_candidates(case: Case | None, gen: CirculantSpec | GeneratingVector, tol):
     """Candidate witnesses in a fixed canonical order, case-specific first;
     a rung of the alpha ladder is built when a verdict first reads it."""
     yield from _necessary_witnesses(gen, tol)
@@ -389,7 +391,7 @@ def _witness_candidates(case: Case | None, gen: GeneratingVector, tol):
     yield from _generic_tail(n)
 
 
-def _past_the_ladder(case: Case, gen: GeneratingVector):
+def _past_the_ladder(case: Case, gen: CirculantSpec | GeneratingVector):
     """``(witness, exact value)`` past ``ALPHA_LADDER``, or None.
 
     Along alpha(q) f is a polynomial g of degree p <= m in alpha, negative
@@ -432,7 +434,7 @@ def _find_witness(case, gen, tol):
     return found
 
 
-def _past_float64(what: str, gen: GeneratingVector, x, value: float,
+def _past_float64(what: str, gen: CirculantSpec | GeneratingVector, x, value: float,
                   exact=None) -> tuple[str, ...]:
     """A note giving f(x) as mantissa * 2**e if ``value``, f(x) rounded once, was
     clamped; f(x) is ``exact`` if given, else evaluated here."""
@@ -505,12 +507,9 @@ def classify(
             f"odd order m={subject.m} is not classifiable: the zero tensor is the "
             "only odd-order positive semidefinite Hankel tensor"
         )
-    if isinstance(subject, CirculantSpec):
-        gen = expand(subject)
-        tol = _effective_tol(subject.seed, rel_tol)
-        case = _dispatch(subject.m, subject.n, subject.r)
-    else:
-        gen, tol, case = subject, _effective_tol(window(subject), rel_tol), None
+    is_spec = isinstance(subject, CirculantSpec)
+    case = _dispatch(subject.m, subject.n, subject.r) if is_spec else None
+    tol = _effective_tol(window(subject), rel_tol)
 
     notes: tuple[str, ...] = ()
     if case == Case.EVEN_GCD_2 and subject.r > subject.n:
@@ -520,15 +519,14 @@ def classify(
         )
 
     if case is None:
-        # unit vector e_{j+1} evaluates f to v[j*m]: a necessary condition
-        if any(gen.v[j * gen.m] < -tol for j in range(gen.n)):
-            return _not_psd_verdict(Case.NECESSARY_ONLY, gen, tol, rel_tol, notes)
+        if any(_necessary_witnesses(subject, tol)):
+            return _not_psd_verdict(Case.NECESSARY_ONLY, subject, tol, rel_tol, notes)
         from . import oracle as oracle_mod
 
-        evidence = oracle_mod.sphere_min(gen, starts=evidence_starts, rng_seed=rng_seed)
+        evidence = oracle_mod.sphere_min(subject, starts=evidence_starts, rng_seed=rng_seed)
         outside = (
             f"(m={subject.m}, r={subject.r}) is outside the proved families"
-            if isinstance(subject, CirculantSpec)
+            if is_spec
             else "no circulant index declared; the closed-form criteria do not apply"
         )
         notes += (f"{outside}; attached sphere-search minimum is evidence, not a certificate",)
@@ -538,11 +536,11 @@ def classify(
                 "so the evidence has no argmin",
             )
         else:
-            notes += _past_float64("min_value", gen, evidence.argmin, evidence.min_value)
+            notes += _past_float64("min_value", subject, evidence.argmin, evidence.min_value)
         return Verdict(
             status=Status.UNCOVERED, case=None, tolerance=rel_tol, evidence=evidence, notes=notes
         )
 
     if _psd_conditions(subject.seed, tol):
-        return _psd_verdict(case, gen, tol, rel_tol, notes)
-    return _not_psd_verdict(case, gen, tol, rel_tol, notes)
+        return _psd_verdict(case, subject, tol, rel_tol, notes)
+    return _not_psd_verdict(case, subject, tol, rel_tol, notes)

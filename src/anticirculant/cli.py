@@ -251,25 +251,21 @@ def _classify_document(args):
 
 
 def _gen_of(subject) -> tensor.GeneratingVector:
-    if isinstance(subject, tensor.CirculantSpec):
-        try:
-            return tensor.expand(subject)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from None
-    return subject
+    """The whole generating vector, for the passes that read all of it."""
+    return tensor.expand(subject) if isinstance(subject, tensor.CirculantSpec) else subject
 
 
-def _reverify_from_document(doc: dict, gen: tensor.GeneratingVector) -> bool:
+def _reverify_from_document(doc: dict, subject) -> bool:
     """Re-derive the status from a parsed verdict document; True if it holds up."""
     status = doc["status"]
     if status == "PSD":
         cert = doc["certificate"]
         kind = classifier.CertificateKind(cert["kind"])
         rebuilt = classifier.Certificate(kind, v0=cert["v0"], t=cert.get("t"))
-        return classifier.strong_hankel_check(gen, rebuilt, doc["tolerance"]).passed
+        return classifier.strong_hankel_check(subject, rebuilt, doc["tolerance"]).passed
     if status == "NotPSD":
         x = doc["witness"]
-        return x is not None and len(x) == gen.n and polyeval.eval_exact(gen, tuple(x)) < 0
+        return x is not None and len(x) == subject.n and polyeval.eval_exact(subject, tuple(x)) < 0
     return status == "Uncovered"
 
 
@@ -278,7 +274,7 @@ def cmd_classify(args) -> int:
     verified = None
     if args.verify:
         doc = json.loads(json.dumps(verdict.to_dict()))
-        verified = _reverify_from_document(doc, _gen_of(subject))
+        verified = _reverify_from_document(doc, subject)
 
     if args.json:
         payload = verdict.to_dict()
@@ -296,24 +292,17 @@ def cmd_classify(args) -> int:
 
 def cmd_eval(args) -> int:
     subject, _ = load_spec_document(args.spec)
-    gen = _gen_of(subject)
     x = tuple(parse_number_list(args.x, "coordinate"))
     try:
         tensor._require_finite(x, "coordinate")
         # either call checks the dimension
         if args.gradient:
-            value, grad = polyeval.value_and_gradient(gen, x)
+            value, grad = polyeval.value_and_gradient(subject, x)
         else:
-            value, grad = polyeval.eval_fast(gen, x), None
+            value, grad = polyeval.eval_fast(subject, x), None
+        naive = polyeval.eval_naive(_gen_of(subject), x, cap=args.cap) if args.naive else None
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
-
-    naive = None
-    if args.naive:
-        try:
-            naive = polyeval.eval_naive(gen, x, cap=args.cap)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from None
     # --json writes floats, text writes exact values exactly; the coordinates
     # are finite, so a value that is no finite float64 comes from overflow
     checked = [("f(x)", value), ("f_naive(x)", naive)] + [("gradient", t) for t in grad or ()]
@@ -401,9 +390,8 @@ def cmd_oracle(args) -> int:
     from . import oracle
 
     subject, _ = load_spec_document(args.spec)
-    gen = _gen_of(subject)
     try:
-        result = oracle.sphere_min(gen, starts=args.starts, rng_seed=args.seed)
+        result = oracle.sphere_min(subject, starts=args.starts, rng_seed=args.seed)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     if args.json:
@@ -449,9 +437,8 @@ def cmd_hankelmatrix(args) -> int:
     from . import oracle
 
     subject, _ = load_spec_document(args.spec)
-    gen = _gen_of(subject)
     try:
-        a = tensor.hankel_matrix(gen)
+        a = tensor.hankel_matrix(_gen_of(subject))
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     result = oracle.matrix_psd(a)
@@ -469,7 +456,7 @@ def cmd_hankelmatrix(args) -> int:
             "psd": result.passed,
         }))
     else:
-        print(f"size: {len(a)} x {len(a)} (k={gen.m // 2})")
+        print(f"size: {len(a)} x {len(a)} (k={subject.m // 2})")
         for row in a:
             print("  " + "  ".join(f"{t:.12g}" for t in row))
         print(f"eigenvalues: {_fmt_vec(result.eigenvalues)}")

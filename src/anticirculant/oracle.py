@@ -64,7 +64,7 @@ import math
 
 import numpy as np
 
-from .tensor import GeneratingVector, _Record, candidate_witnesses, window
+from .tensor import CirculantSpec, GeneratingVector, _Record, candidate_witnesses, window
 # eval_fast and value_and_gradient are not called here; bench/spans.py traces
 # them under these names.
 from .polyeval import _repeat, eval_exact, eval_fast, rounded, value_and_gradient  # noqa: F401
@@ -136,14 +136,14 @@ class SphereMinResult(_Record):
         return {**self._as_dict(), "argmin": None if self.argmin is None else list(self.argmin)}
 
 
-def _spectrum(gen: GeneratingVector):
+def _spectrum(gen: CirculantSpec | GeneratingVector):
     """``(c, W)`` for the roots-of-unity kernel of ``gen``'s float64 vector.
 
     With r the smallest period of the float64 values of v, compared by
     value, or L if none is shorter, ``c = fft(v[:r]) / r`` and
-    ``W = _roots(n, r)``.  Both are read from ``window(gen)``: for an
-    expanded seed of q entries, q is a period of the float values too, so
-    the window's smallest period is v's, as in ``polyeval._int_form``.
+    ``W = _roots(n, r)``.  Both are read from ``window(gen)``: for a spec
+    of q seed entries, q is a period of the float values too, so the
+    window's smallest period is v's, as in ``polyeval._int_form``.
     """
     a = np.array(window(gen), dtype=float)
     r = _repeat(a.tolist())
@@ -175,7 +175,7 @@ def _values_and_gradients(x: np.ndarray, spectrum, m: int):
     return np.einsum("bi,bi->b", x, g), m * g, p
 
 
-def eval_rows(gen: GeneratingVector, x: np.ndarray) -> np.ndarray:
+def eval_rows(gen: CirculantSpec | GeneratingVector, x: np.ndarray) -> np.ndarray:
     """f at every row of the float array ``x`` (``points x n``)."""
     return _values_and_gradients(x, _spectrum(gen), gen.m)[0]
 
@@ -312,7 +312,8 @@ def _descend_rows(spectrum, m: int, x: np.ndarray):
     return f_out, x_out, converged
 
 
-def sphere_min(gen: GeneratingVector, starts: int = 64, rng_seed: int = 0) -> SphereMinResult:
+def sphere_min(gen: CirculantSpec | GeneratingVector, starts: int = 64,
+               rng_seed: int = 0) -> SphereMinResult:
     """Best point found over seeded candidates plus ``starts`` descents.
 
     Candidates come first, in a fixed order: every witness-family member that

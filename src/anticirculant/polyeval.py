@@ -13,12 +13,13 @@ by FFT: ``cyclic_power(x, m, r)``, the r coefficients of ``p**m`` modulo
 substitution, ``_packed_power``) where the packing is narrow or dense, else
 J. C. P. Miller's recurrence (``_miller_power``); both give the same
 integers, and both hold O(packed width) bits, which ``KERNEL_BITS_MAX``
-bounds.  If v repeats with period r, f is their dot product
-with ``v[:r]``.  Every v repeats with its length ``L = (n-1)*m + 1``, where
-nothing wraps and the r coefficients are the whole profile.  Every scalar
-value and gradient is computed in int arithmetic: each int, bool, Fraction
-and float64 is a rational, so one period of v is scaled to integers once
-per ``GeneratingVector`` (``_int_form``), and f(x) is one integer over one
+bounds, as it bounds the denominator's power (``_check_power``).  If v
+repeats with period r, f is their dot product with ``v[:r]``.  Every v
+repeats with its length ``L = (n-1)*m + 1``, where nothing wraps and the r
+coefficients are the whole profile.  Every scalar value and gradient is
+computed in int arithmetic: each int, bool, Fraction and float64 is a
+rational, so one period of v is scaled to integers once per spec or
+vector (``_int_form``, from its window), and f(x) is one integer over one
 denominator, given in the input's type (``_typed``).  ``eval_fast`` scales
 x once per distinct point (``_point_form``, a bounded memo: the witness
 scan evaluates a few points per shape, many times); ``eval_exact`` and
@@ -184,6 +185,14 @@ def _miller_power(folded: list, m: int) -> list:
     return out
 
 
+def _check_power(d: int, m: int) -> None:
+    """Refuse the denominator ``d**m`` where ``m * bit_length(d)`` passes
+    ``KERNEL_BITS_MAX``: an x that cancels when folded passes the kernel's."""
+    if m * d.bit_length() > KERNEL_BITS_MAX:
+        raise ValueError(f"denominator to the power {m} would need {m * d.bit_length()} "
+                         f"bits, the limit is {KERNEL_BITS_MAX}")
+
+
 def _dot(a, b):
     return sum(map(operator.mul, a, b))
 
@@ -199,12 +208,12 @@ def _repeat(keys) -> int:
     return len(keys)
 
 
-def _check_dim(gen: GeneratingVector, x):
+def _check_dim(gen: CirculantSpec | GeneratingVector, x):
     if len(x) != gen.n:
         raise ValueError(f"x has {len(x)} coordinates, tensor dimension is {gen.n}")
 
 
-def eval_fast(gen: GeneratingVector, x):
+def eval_fast(gen: CirculantSpec | GeneratingVector, x):
     """f(x), exactly as ``eval_exact`` computes it, in the input's type.
 
     If every entry of ``gen.v`` and ``x`` is an int, bool or Fraction, the
@@ -219,7 +228,7 @@ def eval_fast(gen: GeneratingVector, x):
     return _typed(_result_type(gen, x), numerator, denominator)
 
 
-def _result_type(gen: GeneratingVector, x) -> type:
+def _result_type(gen: CirculantSpec | GeneratingVector, x) -> type:
     """float, Fraction or int: the type ``eval_fast`` gives f(x) in."""
     v_types = _int_form(gen)[3]
     if not _EXACT_TYPES.issuperset(v_types):
@@ -250,18 +259,18 @@ def _scaled(values):
     return [num * (d // den) for num, den in ratios], d
 
 
-def _int_form(gen: GeneratingVector):
+def _int_form(gen: CirculantSpec | GeneratingVector):
     """``(V, d, r, types)``: one period ``V = v[:r] * d`` of v as ints, d the
     lcm of v's denominators, and the set of the types of v's entries.
 
     r is v's smallest period by value, else L; tuple comparison matches the
-    objects that ``expand`` repeats by identity, without their ``__eq__``.
-    Period and types are read from ``window(gen)``.  For an expanded seed of
-    q entries with L >= 2q that is the first 2q entries, of which q is a
-    period; their smallest period p <= q is v's: by Fine and Wilf, as
+    objects that a spec's window repeats by identity, without their
+    ``__eq__``.  Period and types are read from ``window(gen)``.  For a spec
+    of q seed entries with L >= 2q that is the seed twice, of which q is a
+    period; its smallest period p <= q is v's: by Fine and Wilf, as
     p + q <= 2q, gcd(p, q) is a period of the window, so of the seed and v.
-    Otherwise the window is v.
-    v is immutable, so the form is computed once per instance and kept on it.
+    Otherwise the window is v.  The record is immutable, so the form is
+    computed once per instance and kept on it.
     """
     form = gen.__dict__.get("_int_form")
     if form is None:
@@ -293,15 +302,17 @@ def _point_form(*x) -> tuple:
     return tuple(scaled), d
 
 
-def _exact_ratio(gen: GeneratingVector, form):
+def _exact_ratio(gen: CirculantSpec | GeneratingVector, form):
     """f(x) as ``(numerator, denominator)`` ints, denominator positive, from
     x's integer form ``(X, d_x)``."""
     scaled_v, dv, r, _ = _int_form(gen)
     scaled_x, dx = form
-    return _dot(scaled_v, cyclic_power(scaled_x, gen.m, r)), dv * dx**gen.m
+    numerator = _dot(scaled_v, cyclic_power(scaled_x, gen.m, r))
+    _check_power(dx, gen.m)
+    return numerator, dv * dx**gen.m
 
 
-def eval_exact(gen: GeneratingVector, x) -> Fraction:
+def eval_exact(gen: CirculantSpec | GeneratingVector, x) -> Fraction:
     """f(x) exactly, for finite int, bool, Fraction or float entries: with
     ``V, d_v, r`` one period of v scaled to ints (``_int_form``) and
     ``X, d_x = _scaled(x)``,
@@ -340,7 +351,7 @@ def eval_naive(gen: GeneratingVector, x, cap: int = DENSE_CAP_DEFAULT):
     return total
 
 
-def value_and_gradient(gen: GeneratingVector, x):
+def value_and_gradient(gen: CirculantSpec | GeneratingVector, x):
     """``eval_fast(gen, x)`` and the gradient of f at x, in the same type.
 
     On the int forms ``V, d_v, r`` of v and ``X, d_x`` of x, with
@@ -355,6 +366,7 @@ def value_and_gradient(gen: GeneratingVector, x):
     scaled_x, dx = _scaled(x)
     m = gen.m
     folded = cyclic_power(scaled_x, m - 1, r)
+    _check_power(dx, m)
     sums = [_dot(folded, scaled_v[i % r :] + scaled_v[: i % r]) for i in range(gen.n)]
     kind, denominator = _result_type(gen, x), dv * dx ** (m - 1)
     value = _typed(kind, _dot(scaled_x, sums), denominator * dx)
@@ -379,6 +391,8 @@ def residue_components(spec: CirculantSpec, x) -> tuple:
     m, r = spec.m, spec.r
     scaled, d = _scaled(x)
     folded = cyclic_power(scaled, m, r)
+    _check_power(d, m)
     types = {type(t) for t in x if t != 0}
     kind = float if not _EXACT_TYPES.issuperset(types) else Fraction if Fraction in types else int
-    return tuple(_typed(kind, folded[(j - m) % r], d**m) for j in range(r))
+    denominator = d**m
+    return tuple(_typed(kind, folded[(j - m) % r], denominator) for j in range(r))

@@ -21,6 +21,7 @@ arithmetic survives downstream when the inputs are exact.
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -135,15 +136,15 @@ class GeneratingVector(_Record):
         _require_finite(v, "generating vector")
 
     def max_abs(self) -> float:
-        return max(abs(float(t)) for t in window(self))
+        return max(abs(float(t)) for t in self.v)
 
 
 class CirculantSpec(_Record):
     """A generalized anti-circulant tensor given by (m, n, r) and an r-entry seed.
 
     The full generating vector is the seed repeated periodically.  ``r`` may
-    exceed ``n`` up to ``max(n, 2n - 4)``, but never the generating vector
-    length.
+    exceed ``n`` up to ``max(n, 2n - 4)``, below the generating vector length
+    L for m, n >= 2; L may not pass ``sys.maxsize``.
     """
 
     m: int
@@ -163,13 +164,11 @@ class CirculantSpec(_Record):
             raise ValueError(
                 f"circulant index r={r} outside 1..max(n, 2n-4) = 1..{r_cap}"
             )
-        if r > genvec_length(m, n):
-            raise ValueError(
-                f"circulant index r={r} exceeds generating vector length "
-                f"{genvec_length(m, n)}"
-            )
         if len(seed) != r:
             raise ValueError(f"seed needs exactly r={r} entries, got {len(seed)}")
+        if genvec_length(m, n) > sys.maxsize:
+            raise ValueError(f"generating vector of L = (n-1)*m+1 = {genvec_length(m, n)} "
+                             f"entries is past sys.maxsize = {sys.maxsize}")
         _require_finite(seed, "seed")
 
 
@@ -177,35 +176,35 @@ def expand(spec: CirculantSpec) -> GeneratingVector:
     """Expand a circulant seed into the full generating vector.
 
     Examples: (m=4, n=3, r=1, seed=(2,)) gives nine 2s; (m=4, n=3, r=3,
-    seed=(1,2,3)) gives (1,2,3,1,2,3,1,2,3).  ``CirculantSpec`` validated m,
-    n, r and every seed object, and v holds only those objects, so v is not
-    checked again.  The vector keeps r, off its fields, for ``window``.  An
-    L past what a tuple can hold is a ``ValueError``: CPython refuses such
-    a repetition before it allocates.
+    seed=(1,2,3)) gives (1,2,3,1,2,3,1,2,3).  Only the passes that read all
+    of v need it: ``hankel_matrix`` and ``polyeval.eval_naive``.  An L past
+    what a tuple can hold is a ``ValueError``: CPython refuses such a
+    repetition before it allocates.
     """
     length = genvec_length(spec.m, spec.n)
     try:
         v = (spec.seed * -(-length // spec.r))[:length]
-    except (OverflowError, MemoryError):
+    except MemoryError:
         raise ValueError(
             f"generating vector of L = (n-1)*m+1 = {length} entries is too long to build"
         ) from None
-    gen = GeneratingVector.__new__(GeneratingVector)
-    gen.__dict__.update(m=spec.m, n=spec.n, v=v, _seed_r=spec.r)
-    return gen
+    return GeneratingVector(spec.m, spec.n, v)
 
 
-def window(gen: GeneratingVector) -> tuple:
-    """The entries of ``gen.v`` a pass over v reads: ``v[:min(L, 2r)]`` for a
-    vector ``expand`` built from an r-entry seed, all of v for any other.
+def window(gen: CirculantSpec | GeneratingVector) -> tuple:
+    """The entries of v a pass over v reads: ``(seed * 2)[:L]`` for a
+    ``CirculantSpec`` of r seed entries, all of ``gen.v`` for a
+    ``GeneratingVector``.
 
     The window is exact: s -> s + 2r keeps both s mod r and the parity of
     s, so the window holds every (object, parity) pair of v, and every seed
-    object, as r <= L.  A max, an all() or a type set over v, or over v's
-    even or odd entries, is the same over the window's.
+    object, as r < L.  A max, an all() or a type set over v, or over v's
+    even or odd entries, is the same over the window's, and
+    ``v[s] == window[s % len(window)]``.
     """
-    r = gen.__dict__.get("_seed_r")
-    return gen.v if r is None else gen.v[: 2 * r]
+    if isinstance(gen, CirculantSpec):
+        return (gen.seed * 2)[: genvec_length(gen.m, gen.n)]
+    return gen.v
 
 
 def entry(gen: GeneratingVector, idx):

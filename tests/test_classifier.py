@@ -39,6 +39,7 @@ from anticirculant.tensor import (
     expand,
     hankel_matrix,
     pattern_witnesses,
+    window,
 )
 
 
@@ -814,7 +815,7 @@ class TestStrongHankel:
 
     def test_wrong_certificate_raises_in_classify(self, monkeypatch):
         def wrong_t(gen, tol):
-            return Certificate(CertificateKind.POWER_SUM, v0=float(gen.v[0]), t=0.5)
+            return Certificate(CertificateKind.POWER_SUM, v0=float(window(gen)[0]), t=0.5)
 
         monkeypatch.setattr(classifier_mod, "power_sum_certificate", wrong_t)
         with pytest.raises(RuntimeError, match="fails its identity check"):

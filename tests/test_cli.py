@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -483,12 +484,46 @@ class TestDocumentErrors:
     @pytest.mark.parametrize("argv", [["classify"], ["classify", "--verify", "--json"],
                                       ["eval", "1,2,3"], ["oracle"], ["hankelmatrix"]])
     def test_vector_past_a_tuple_is_an_input_error(self, tmp_path, capsys, m, argv):
+        # at m = 10**18 classify reads the seed, never v: PSD, and verified;
+        # eval and oracle refuse by the kernel's limits, and hankelmatrix,
+        # which builds v, by its length.  At 10**30, L passes sys.maxsize.
         doc = write_doc(tmp_path, "huge.json", {"m": m, "n": 3, "r": 2, "seed": [1, 0.5]})
-        assert main([argv[0], doc, *argv[1:]]) == 2
+        code = main([argv[0], doc, *argv[1:]])
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: generating vector of L = (n-1)*m+1 = {2 * m + 1} "
-                                "entries is too long to build\n")
+        if m == 10**18 and argv[0] == "classify":
+            assert code == 0 and captured.err == ""
+            if "--json" in argv:
+                payload = json.loads(captured.out)
+                assert payload["status"] == "PSD" and payload["verified"] is True
+            else:
+                assert captured.out.startswith("status: PSD\n")
+            return
+        assert code == 2 and captured.out == ""
+        length = f"generating vector of L = (n-1)*m+1 = {2 * m + 1} entries"
+        if m == 10**30:
+            assert captured.err == f"error: {doc}: {length} is past sys.maxsize = {sys.maxsize}\n"
+        elif argv[0] == "hankelmatrix":
+            assert captured.err == f"error: {length} is too long to build\n"
+        else:
+            assert re.fullmatch(r"error: [^\n]* would need \d+ bits, the limit is \d+\n", captured.err)
+
+    def test_order_of_a_billion(self, tmp_path, capsys):
+        # the PSD seed answers, verified, from 4 entries of v; its NotPSD
+        # twin's witness is past the kernel's limit, and the Uncovered
+        # document's argmin (1/sqrt(2), 0, -1/sqrt(2), 0) folds to zero mod
+        # v's period 2, past the bound on its denominator: each within 2 s
+        for n, seed, want in ((3, [1, 0.5], 0), (3, [0.5, 1], 2), (4, [1, 0.5, 1, 0.5], 2)):
+            doc = write_doc(tmp_path, "big.json", {"m": 10**9, "n": n, "r": len(seed), "seed": seed})
+            start = time.perf_counter()
+            assert main(["classify", "--verify", "--json", doc]) == want
+            assert time.perf_counter() - start < 2
+            captured = capsys.readouterr()
+            if want == 0:
+                payload = json.loads(captured.out)
+                assert payload["status"] == "PSD" and payload["verified"] is True
+            else:
+                assert captured.out == "" and "the limit is" in captured.err
+                assert "internal" not in captured.err
 
     def test_missing_file(self, capsys):
         assert main(["classify", "/nonexistent/never.json"]) == 2

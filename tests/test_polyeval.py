@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -773,6 +774,22 @@ class TestPackedPower:
         with pytest.raises(ValueError, match="the limit is"):
             cyclic_power([1, 1], m, 1000)
         assert called == [limit]
+
+    def test_denominator_past_the_cap_raises_before_its_power(self, monkeypatch):
+        # (0.1, 0, -0.1) folds to zero mod r = 2, so the kernel's width is 2
+        # bits, while d_x**m would have about 56 * 10**9
+        spec, x = CirculantSpec(10**9, 3, 2, (1, 0.5)), (0.1, 0.0, -0.1)
+        for f in (eval_exact, eval_fast, value_and_gradient, residue_components):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="denominator to the power 1000000000 "):
+                f(spec, x)
+            assert time.perf_counter() - start < 1
+        # m * bits(d_x) at the cap is taken, one past it is not: d_x = 2
+        monkeypatch.setattr(polyeval, "KERNEL_BITS_MAX", 4000)
+        for f in (eval_exact, eval_fast, value_and_gradient, residue_components):
+            f(CirculantSpec(2000, 3, 2, (1, 0.5)), (0.5, 0.0, -0.5))
+            with pytest.raises(ValueError, match="would need 4002 bits, the limit is 4000"):
+                f(CirculantSpec(2001, 3, 2, (1, 0.5)), (0.5, 0.0, -0.5))
 
     def test_covered_specs_take_the_packed_path(self, monkeypatch):
         # classify over shapes and seeds like the covered and uncovered bench

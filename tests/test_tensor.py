@@ -1,5 +1,6 @@
 """Tests for generating vectors, circulant expansion, Hankel entries, witnesses."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -95,10 +96,18 @@ class TestCirculantSpec:
         with pytest.raises(ValueError, match="too large for float64"):
             CirculantSpec(4, 4, 2, (10**400, 1))
 
+    def test_rejects_length_past_maxsize(self):
+        for m in (sys.maxsize // 2 + 1, 10**400):
+            with pytest.raises(ValueError, match=rf"L = \(n-1\)\*m\+1 = {2 * m + 1} entries "
+                                                 rf"is past sys.maxsize = {sys.maxsize}"):
+                CirculantSpec(m, 3, 2, (1, 0.5))
+        assert genvec_length(sys.maxsize // 2, 3) == sys.maxsize
+        CirculantSpec(sys.maxsize // 2, 3, 2, (1, 0.5))
+
     @pytest.mark.parametrize("m", [10**30, 10**18])
     def test_expand_past_a_tuple_is_a_value_error(self, m):
-        # CPython refuses the repetition before it allocates: OverflowError
-        # past an index-sized int, MemoryError past the largest tuple
+        # the spec refuses an L past sys.maxsize; below it, CPython refuses
+        # the repetition before it allocates, with a MemoryError
         with pytest.raises(ValueError, match=rf"L = \(n-1\)\*m\+1 = {2 * m + 1} entries"):
             expand(CirculantSpec(m, 3, 2, (1, 0.5)))
 

@@ -1,22 +1,24 @@
-"""The window of an expanded seed: every pass over v reads v[:min(L, 2r)].
+"""A spec is read through its window: every pass over v reads (seed * 2)[:L].
 
-A vector that ``expand`` builds gives the same strong-Hankel check, scale
-and period from its window as the same vector built by ``GeneratingVector``,
-whose window is all of v; and the passes never read past the window.
+The passes over a ``CirculantSpec`` give the same strong-Hankel check,
+scale, period and values as over the same vector built by
+``GeneratingVector``, whose window is all of v; and ``classify``,
+``classify --verify`` and ``eval`` on a spec never build v.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from anticirculant import classifier as classifier_mod
-from anticirculant import oracle, polyeval
+from anticirculant import cli, oracle, polyeval, tensor
 from anticirculant.classifier import (
     Certificate,
     CertificateKind,
-    Status,
     _effective_tol,
+    _necessary_witnesses,
     classify,
     power_sum_certificate,
     strong_hankel_check,
@@ -58,49 +60,62 @@ def test_window_passes_match_the_full_vector(data):
     else:
         seed = tuple(data.draw(_ENTRIES) for _ in range(r))
     spec = CirculantSpec(m, n, r, seed)
-    gen = expand(spec)
-    full = GeneratingVector(m, n, gen.v)
+    full = GeneratingVector(m, n, expand(spec).v)
     assert window(full) is full.v
-    assert len(window(gen)) == min(len(gen.v), 2 * r)
+    assert len(window(spec)) == min(len(full.v), 2 * r)
+    assert all(a is b for a, b in zip(window(spec), full.v))
 
-    assert gen == full and hash(gen) == hash(full)
-    assert repr(gen) == repr(full) and gen._as_dict() == full._as_dict()
-
-    assert _identical(gen.max_abs(), full.max_abs())
-    assert polyeval._int_form(gen) == polyeval._int_form(full)
-    ours, theirs = oracle._spectrum(gen), oracle._spectrum(full)
+    assert polyeval._int_form(spec) == polyeval._int_form(full)
+    ours, theirs = oracle._spectrum(spec), oracle._spectrum(full)
     assert [a.tobytes() for a in ours] == [b.tobytes() for b in theirs]
+    x = tuple(data.draw(_ENTRIES) for _ in range(n))
+    assert _identical(polyeval.eval_fast(spec, x), polyeval.eval_fast(full, x))
 
     rel_tol = data.draw(st.sampled_from([0.0, 1e-12, 0.1]), label="rel_tol")
+    tol = _effective_tol(full.v, rel_tol)
+    assert _identical(_effective_tol(window(spec), rel_tol), tol)
+    assert list(_necessary_witnesses(spec, tol)) == list(_necessary_witnesses(full, tol))
     certs = [Certificate(CertificateKind.POWER_SUM, v0=data.draw(st.floats(-2, 2)),
                          t=data.draw(st.floats(0, 1)))]
-    tol = _effective_tol(gen.v, rel_tol)
-    if float(gen.v[0]) - abs(float(gen.v[1])) >= -tol:
-        certs.append(power_sum_certificate(gen, tol))
+    if float(full.v[0]) - abs(float(full.v[1])) >= -tol:
+        certs.append(power_sum_certificate(full, tol))
+        assert power_sum_certificate(spec, tol) == certs[-1]
     for cert in certs:
-        ours, theirs = strong_hankel_check(gen, cert, rel_tol), strong_hankel_check(full, cert, rel_tol)
+        ours, theirs = strong_hankel_check(spec, cert, rel_tol), strong_hankel_check(full, cert, rel_tol)
         assert ours._fields == theirs._fields
         for a, b in zip(ours._values(), theirs._values()):
             assert _identical(a, b)
 
 
-class _Untouchable:
-    """An entry past the window: reading it as a number or comparing it fails."""
-
-    def _touched(self, *args):
-        raise AssertionError("an entry past the window was read")
-
-    __float__ = __abs__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _touched
-    __hash__ = object.__hash__
+def _built(*args, **kwargs):
+    raise AssertionError("a generating vector was built")
 
 
-def _past_the_window(spec):
-    """``expand(spec)`` with every entry from 2r on replaced by an _Untouchable."""
-    gen = expand(spec)
-    cut = 2 * spec.r
-    assert cut < len(gen.v)
-    gen.__dict__["v"] = gen.v[:cut] + tuple(_Untouchable() for _ in gen.v[cut:])
-    return gen
+def _outputs(spec, tmp_path, capsys):
+    """``classify(spec).to_dict()``, then per CLI call on the spec's document
+    (for a seed that JSON holds) its exit code, stdout and stderr."""
+    out = [classify(CirculantSpec(spec.m, spec.n, spec.r, spec.seed)).to_dict()]
+    if any(isinstance(t, Fraction) for t in spec.seed):
+        return out
+    doc = tmp_path / "spec.json"
+    doc.write_text(json.dumps({"m": spec.m, "n": spec.n, "r": spec.r, "seed": list(spec.seed)}))
+    x = ",".join(map(str, (1, -2, 0.5, 3, -1, 0.25, 2, -3)[: spec.n]))
+    for argv in (["classify", "--verify", "--json"], ["classify", "--verify"],
+                 ["eval", "--gradient"], ["eval", "--json"]):
+        code = cli.main([*argv, str(doc)] + ([x] if argv[0] == "eval" else []))
+        out.append((code, *capsys.readouterr()))
+    return out
+
+
+def _unexpanded_outputs(spec, tmp_path, capsys, monkeypatch):
+    """``_outputs`` with ``expand`` and ``GeneratingVector`` raising, and as
+    they are; the two must be the same."""
+    want = _outputs(spec, tmp_path, capsys)
+    monkeypatch.setattr(tensor, "expand", _built)
+    monkeypatch.setattr(classifier_mod, "expand", _built)
+    monkeypatch.setattr(GeneratingVector, "__init__", _built)
+    assert _outputs(spec, tmp_path, capsys) == want
+    return want
 
 
 @pytest.mark.parametrize("spec", [
@@ -110,15 +125,27 @@ def _past_the_window(spec):
     CirculantSpec(4, 4, 4, (1, 0.25, 1, 0.25)),
     CirculantSpec(8, 6, 2, (5, -2)),
 ])
-def test_psd_verdict_scale_and_period_read_only_the_window(spec, monkeypatch):
-    want = classify(spec).to_dict()
-    gen = expand(spec)
-    poisoned = _past_the_window(spec)
-    monkeypatch.setattr(classifier_mod, "expand", _past_the_window)
-    verdict = classify(spec)
-    assert verdict.status == Status.PSD and verdict.to_dict() == want
-    assert _identical(poisoned.max_abs(), gen.max_abs())
-    assert polyeval._int_form(poisoned) == polyeval._int_form(gen)
+def test_psd_verdict_scale_and_period_read_only_the_window(spec, tmp_path, capsys, monkeypatch):
+    verdict, *calls = _unexpanded_outputs(spec, tmp_path, capsys, monkeypatch)
+    assert verdict["status"] == "PSD"
+    for code, _, err in calls:
+        assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("spec, status, codes", [
+    # L = 2 * 10**9 + 1: the verdict reads 4 entries, eval is past the kernel's limit
+    (CirculantSpec(10**9, 3, 2, (1, 0.5)), "PSD", (0, 0, 2, 2)),
+    (CirculantSpec(6, 5, 4, (1, 0.5, 1, 0.7)), "NotPSD", (1, 1, 0, 0)),
+    # past the alpha ladder, at alpha = 2**43
+    (CirculantSpec(4, 4, 4, (10**40, 0, 10**40, 1)), "NotPSD", (1, 1, 0, 0)),
+    # outside the families: a unit vector refutes it, or the sphere search runs
+    (CirculantSpec(8, 4, 4, (-1, 1, 1, 1)), "NotPSD", (1, 1, 0, 0)),
+    (CirculantSpec(8, 4, 4, (0.9, 1.2, 0.9, 1.2)), "Uncovered", (4, 4, 0, 0)),
+])
+def test_no_verdict_builds_the_vector(spec, status, codes, tmp_path, capsys, monkeypatch):
+    verdict, *calls = _unexpanded_outputs(spec, tmp_path, capsys, monkeypatch)
+    assert verdict["status"] == status
+    assert tuple(code for code, _, _ in calls) == codes
 
 
 def test_a_raw_vector_is_read_in_full():
