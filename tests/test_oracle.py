@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -308,6 +310,44 @@ class TestSphereMin:
             8.623487781339011e-16, 2.97314768676435e-18, 4.511318205701376e-15,
             7.479409776032456e-21,
         ]
+
+    #: Uncovered shapes outside the six rows, as in the bench's uncovered
+    #: workload: seeds constant or alternating, ints or floats.
+    BATTERY_SHAPES = ((6, 5, 6), (6, 6, 6), (8, 4, 4), (8, 5, 4), (8, 6, 4), (10, 5, 5))
+
+    @classmethod
+    def _battery(cls):
+        """Every battery vector: per ``random.Random(k)``, k = 0..7, one seed
+        on each shape (alternating ones from PSD to clearly negative), then
+        two period-free vectors, where r = L."""
+        gens = []
+        for k in range(8):
+            rng = random.Random(k)
+            for m, n, r in cls.BATTERY_SHAPES:
+                if rng.random() < 0.5:
+                    a = rng.randint(2, 9)
+                    b = rng.randint(-2 * a, 2 * a)
+                else:
+                    a = rng.uniform(0.5, 2.0)
+                    b = a * rng.uniform(-1.5, 1.5)
+                seed = (a,) * r if rng.random() < 0.5 else (a, b) * (r // 2) + (a,) * (r % 2)
+                gens.append(expand(CirculantSpec(m, n, r, seed)))
+        for m, n, k in ((6, 5, 3), (4, 7, 4)):
+            rng = random.Random(k)
+            gens.append(GeneratingVector(m, n, tuple(rng.uniform(0.5, 2.0) for _ in range((n - 1) * m + 1))))
+        return gens
+
+    def test_battery_digest(self):
+        # the search's whole output and its descents' float64 ends, at 16 and
+        # 64 starts, pinned by one digest (numpy 2.4, x86_64)
+        digest = hashlib.sha256()
+        for gen in self._battery():
+            spectrum = oracle._spectrum(gen)
+            for starts in (16, 64):
+                digest.update(json.dumps(sphere_min(gen, starts=starts).to_dict()).encode())
+                f, x, ok = oracle._descend_rows(spectrum, gen.m, oracle._start_matrix(gen.n, starts, 0))
+                digest.update(f.tobytes() + x.tobytes() + ok.tobytes())
+        assert digest.hexdigest()[:16] == "214b0cba01102805"
 
     def test_to_dict_round_trip(self):
         result = sphere_min(GeneratingVector(2, 2, (1, 1, 1)), starts=2)
