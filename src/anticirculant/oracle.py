@@ -22,22 +22,24 @@ period takes ``r = L``.  With
 Re((c * P**(m-1)) @ W^T)`` and the value ``x . grad / m`` (Euler's identity
 for a degree-m form).  Every reduction stays within a row (``np.einsum``,
 never BLAS), so a row's numbers are bitwise the same whatever rows share its
-array.  The candidates are evaluated together, then all descents advance in
-lockstep, each row with its own step size, line search and stopping rules.
-Each iteration tries a block of eight step sizes s on every live row at
-once.  P is linear in x, so ``y = (x - s * grad) / |x - s * grad|`` has
+array.  One kernel call evaluates the candidates and the starts together; from
+the starts' rows of it all descents advance in lockstep, each row with its own
+step size, line search and stopping rules.  Each iteration tries a block of
+eight step sizes s on every live row at once.  P is linear in x, so
+``y = (x - s * grad) / |x - s * grad|`` has
 ``P = (P_x - s * P_g) / |x - s * grad|`` with ``P_g = grad @ W``: one
 broadcast gives f at every step size of the block, with no kernel call per
 step size.  A row moves to the lowest of the values that decrease f; the rows
 that no step of the block decreases try the further halvings in doubling
 blocks.  At the new point the kernel recomputes P, f and grad.  The live
-arrays are compacted only in iterations where some row stops.  The
-candidate rows (a function of n), the start matrix (a function of n, starts
-and rng_seed) and ``W`` (a function of n and r) are built once per process
-and kept read-only.  The reported ``min_value`` is the exact value
-of f at ``argmin`` (``polyeval.eval_exact``), rounded once to float64 and
-clamped to ``±sys.float_info.max`` past it, so float cancellation in the
-search's own values never reaches it; if no point has a finite float64
+arrays are compacted, by one ``take`` each, only in iterations where some row
+stops and others go on.  The candidate rows (a function of n), the start
+matrix (a function of n, starts and rng_seed) and ``W`` (a function of n and
+r) are built once per process and kept read-only; the step ladder is built per
+descent, from MAX_HALVINGS as it is then.  The reported ``min_value`` is the
+exact value of f at ``argmin`` (``polyeval.eval_exact``), rounded once to
+float64 and clamped to ``±sys.float_info.max`` past it, so float cancellation
+in the search's own values never reaches it; if no point has a finite float64
 value, there is no argmin and no ``min_value``.
 
 ``matrix_psd`` decides matrix positive semidefiniteness numerically from
@@ -237,77 +239,84 @@ def _line_search(spectrum, m: int, x, f, grad, p, pg, steps):
     """``(moved, y, s)``: per row, whether a step size of the ``(levels,
     rows)`` block ``steps`` decreases f; the step s with the lowest f among
     those that do (ties: the earlier level); and the normalized point
-    ``x - s * grad``, or x where no step decreases f.
+    ``x - s * grad``, or x where no step decreases f.  Each row's level is
+    read by ``take`` at the flat index ``level * rows + row``.
     """
     y, norm, fy = _block_values(spectrum, m, x, grad, p, pg, steps)
-    fy[~((norm != 0.0) & np.isfinite(norm) & (fy < f))] = np.inf
-    best = fy.argmin(axis=0)  # the earliest of equal minima
-    cols = np.arange(len(best))
-    moved = fy[best, cols] < np.inf
-    y = np.where(moved[:, None], y[best, cols] / norm[best, cols, None], x)
-    return moved, y, steps[best, cols]
+    down = (norm != 0.0) & np.isfinite(norm) & (fy < f)
+    pick = np.where(down, fy, np.inf).argmin(axis=0) * len(f) + np.arange(len(f))
+    moved = down.take(pick)
+    y = y.reshape(-1, x.shape[1]).take(pick, axis=0)
+    y /= norm.take(pick)[:, None]
+    if np.count_nonzero(moved) < len(moved):
+        y = np.where(moved[:, None], y, x)
+    return moved, y, steps.take(pick)
 
 
-def _descend_rows(spectrum, m: int, x: np.ndarray):
+def _descend_rows(spectrum, m: int, x: np.ndarray, first=None):
     """Projected gradient descent from every row of x, in lockstep.
 
-    Returns per-row ``(f, x, converged)`` arrays.  Each iteration tries the
-    BLOCK step sizes ``2 * eta * 2**k``, k = 4, 3, ..., -3, capped at
-    ETA_MAX, in one ``_line_search``, where eta is the row's last step size,
-    and moves the row to the lowest value among the steps that decrease f.  A
-    row that no step of the block decreases tries the further halvings in
-    blocks of 16, 32, ... levels, up to MAX_HALVINGS halvings of ``2 * eta``,
-    and keeps its point if none decreases f.  At the new point the kernel
-    recomputes f, its gradient and P, so the block's rounding never carries
-    over.  A row stops when no step decreases f, when one step decreases f
-    by less than PLATEAU_TOL, or when a COARSE_WINDOW of steps decreases it
-    by less than COARSE_TOL per step; a row still moving after
-    MAX_ITERATIONS is not converged.
+    Returns per-row ``(f, x, converged)`` arrays.  ``first``, if given, is
+    the kernel's ``(f, grad, P)`` at x.  Each iteration tries the BLOCK step
+    sizes ``2 * eta * 2**k``, k = 4, 3, ..., -3, capped at ETA_MAX, in one
+    ``_line_search``, where eta is the row's last step size, and moves the
+    row to the lowest value among the steps that decrease f.  A row that no
+    step of the block decreases tries the further halvings in blocks of 16,
+    32, ... levels, up to MAX_HALVINGS halvings of ``2 * eta``, and keeps its
+    point if none decreases f.  At the new point the kernel recomputes f, its
+    gradient and P, so the block's rounding never carries over.  A row stops
+    when no step decreases f, when one step decreases f by less than
+    PLATEAU_TOL, or when a COARSE_WINDOW of steps decreases it by less than
+    COARSE_TOL per step; a row still moving after MAX_ITERATIONS is not
+    converged.  Where some row stops, every live row's outputs are written
+    and the others are kept by one ``take`` per array.
     """
+    f, grad, p = _values_and_gradients(x, spectrum, m) if first is None else first
     f_out = np.empty(len(x))
     x_out = np.empty_like(x)
     converged = np.ones(len(x), dtype=bool)
     live = np.arange(len(x))
-    f, grad, p = _values_and_gradients(x, spectrum, m)
     eta = np.full(len(x), ETA0)
     checkpoint = f
-    # Multiples of 2 * eta, 16, 8, ..., 2**-MAX_HALVINGS: the block, then
-    # every further halving.
-    ladder = 2.0 ** np.arange(4.0, -MAX_HALVINGS - 1, -1)[:, None]
+    # Multiples of eta, 2 * (16, 8, ..., 2**-MAX_HALVINGS): the block, then
+    # every further halving.  eta * 2**(k+1) is 2 * eta * 2**k, rounded once.
+    ladder = 2.0 ** np.arange(5.0, -MAX_HALVINGS, -1)[:, None]
     for iteration in range(1, MAX_ITERATIONS + 1):
         # Carry each row's last successful step size forward and let it grow;
         # on degenerate minima the useful step size diverges, and resetting to
         # ETA0 every iteration would trap the descent in a power-law tail.
         pg = np.einsum("bi,ik->bk", grad.astype(complex), spectrum[1])
-        steps = np.minimum(2.0 * eta * ladder[:BLOCK], ETA_MAX)
+        steps = np.minimum(eta * ladder[:BLOCK], ETA_MAX)
         moved, y, s = _line_search(spectrum, m, x, f, grad, p, pg, steps)
-        eta = np.where(moved, s, eta)
+        np.copyto(eta, s, where=moved)
         # Rows that no step of the block moves try the further halvings.
         pending, done, size = (~moved).nonzero()[0], BLOCK, 2 * BLOCK
         while pending.size and done < len(ladder):
-            steps = np.minimum(2.0 * eta[pending] * ladder[done : done + size], ETA_MAX)
+            steps = np.minimum(eta.take(pending) * ladder[done : done + size], ETA_MAX)
             moved, y[pending], s = _line_search(
-                spectrum, m, x[pending], f[pending], grad[pending], p[pending], pg[pending], steps
+                spectrum, m, *(a.take(pending, 0) for a in (x, f, grad, p, pg)), steps
             )
             eta[pending[moved]] = s[moved]
             pending, done, size = pending[~moved], done + size, 2 * size
         fy, grad, p = _values_and_gradients(y, spectrum, m)
-        # Stop where f fell by less than PLATEAU_TOL.  A row that found no
-        # decreasing step kept its point and stops here too; the negated >=
-        # also stops rows whose value is NaN.
+        # Go on where f fell by at least PLATEAU_TOL.  A row that found no
+        # decreasing step kept its point and stops here; so does a row whose
+        # value is NaN, as no comparison with NaN holds.
         scale = 1.0 + np.abs(fy)
-        stop = ~(f - fy >= PLATEAU_TOL * scale)
+        go = f - fy >= PLATEAU_TOL * scale
         if iteration % COARSE_WINDOW == 0:
-            stop |= checkpoint - fy < COARSE_WINDOW * COARSE_TOL * scale
+            go &= ~(checkpoint - fy < COARSE_WINDOW * COARSE_TOL * scale)
             checkpoint = fy
         x, f = y, fy
-        if stop.any():
-            f_out[live[stop]], x_out[live[stop]] = f[stop], x[stop]
-            go = ~stop
-            live, x, f, grad, p = live[go], x[go], f[go], grad[go], p[go]
-            eta, checkpoint = eta[go], checkpoint[go]
-            if not live.size:
-                break
+        kept = np.count_nonzero(go)
+        if kept < len(go):
+            f_out[live], x_out[live] = f, x
+            if not kept:
+                return f_out, x_out, converged
+            go = go.nonzero()[0]
+            live, x, f, grad, p, eta, checkpoint = (
+                a.take(go, 0) for a in (live, x, f, grad, p, eta, checkpoint)
+            )
     f_out[live], x_out[live], converged[live] = f, x, False
     return f_out, x_out, converged
 
@@ -329,16 +338,17 @@ def sphere_min(gen: CirculantSpec | GeneratingVector, starts: int = 64,
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     n, m = gen.n, gen.m
-    candidates = _candidates(n)
+    candidates, x = _candidates(n), _start_matrix(n, starts, rng_seed)
+    k = len(candidates)
     with np.errstate(all="ignore"):
         spectrum = _spectrum(gen)
-        candidate_f = _values_and_gradients(candidates, spectrum, m)[0]
-        run_f, run_x, converged = _descend_rows(spectrum, m, _start_matrix(n, starts, rng_seed))
-    values = np.concatenate([candidate_f, run_f])
-    points = np.concatenate([candidates, run_x])
+        f, grad, p = _values_and_gradients(np.concatenate([candidates, x]), spectrum, m)
+        run_f, run_x, converged = _descend_rows(spectrum, m, x, (f[k:], grad[k:], p[k:]))
+    values = np.concatenate([f[:k], run_f])
     values[np.isnan(values)] = math.inf  # as with `<`, NaN never becomes the best
     best = int(np.argmin(values))  # earliest of equal minima
-    argmin = tuple(points[best].tolist()) if values[best] < math.inf else None
+    point = candidates[best] if best < k else run_x[best - k]
+    argmin = tuple(point.tolist()) if values[best] < math.inf else None
     return SphereMinResult(
         min_value=None if argmin is None else rounded(eval_exact(gen, argmin)),
         argmin=argmin,

@@ -446,6 +446,38 @@ class TestBatchedKernels:
             assert np.array_equal(x1[0], x[i])
             assert ok1[0] == ok[i]
 
+    @pytest.mark.parametrize("halvings, cap", [(3, None), (40, None), (40, 6)])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CirculantSpec(8, 6, 4, (1, 0.5, 1, 0.5)),
+            CirculantSpec(6, 5, 6, (1, -1.3, 1, -1.3, 1, -1.3)),
+            CirculantSpec(10, 5, 5, (1, 1, 1, 1, 1)),
+            CirculantSpec(4, 7, 3, (0.9, 1.4, 1.1)),
+            GeneratingVector(6, 5, tuple(np.random.default_rng(7).uniform(0.5, 2.0, 25).tolist())),
+        ],
+    )
+    def test_one_kernel_call_for_candidates_and_starts(self, monkeypatch, spec, halvings, cap):
+        # sphere_min evaluates both in one call and starts the descents from
+        # the starts' rows of it: the same bytes as two calls and a descent
+        # that evaluates its own starts
+        monkeypatch.setattr(oracle, "MAX_HALVINGS", halvings)
+        if cap is not None:
+            monkeypatch.setattr(oracle, "MAX_ITERATIONS", cap)
+        gen = spec if isinstance(spec, GeneratingVector) else expand(spec)
+        spectrum = oracle._spectrum(gen)
+        candidates, x0 = oracle._candidates(gen.n), oracle._start_matrix(gen.n, 16, 5)
+        both = oracle._values_and_gradients(np.concatenate([candidates, x0]), spectrum, gen.m)
+        k = len(candidates)
+        for rows, alone in ((slice(None, k), candidates), (slice(k, None), x0)):
+            for shared, own in zip(both, oracle._values_and_gradients(alone, spectrum, gen.m)):
+                assert shared[rows].tobytes() == own.tobytes()
+        shared = oracle._descend_rows(spectrum, gen.m, x0, tuple(a[k:] for a in both))
+        own = oracle._descend_rows(spectrum, gen.m, x0)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(shared, own))
+        if cap is not None:
+            assert not own[2].all()
+
     @pytest.mark.parametrize(
         "rows, n", [(1, 2), (2, 16), (3, 7), (16, 5), (64, 12), (795, 6), (800, 16), (100, 3)]
     )
